@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .config import SuiteConfig, load_config, config_echo
+from .config import SUITES, SuiteConfig, load_config, config_echo
 from .errors import (
     BadDimension,
     ConfigError,
@@ -43,7 +43,7 @@ from .suites import RELATION_ANCHORS, run_suite
 from .symmetry import RELATION_NAMES, build_operators, verify_relation
 from .transforms import MAP_DIMS, euler_defect, transform_map
 
-VERIFY_CHOICES = ("euler", "gauge", "field", "charge", "algebra", "casimir", "all")
+VERIFY_CHOICES = SUITES + ("all",)
 
 
 def _fraction(text: str) -> Fraction:

@@ -62,11 +62,12 @@ class GaussRat:
         out = object.__new__(GaussRat)
         if d < 0:
             a, b, d = -a, -b, -d
-        g = gcd(gcd(a, b), d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
+        if d != 1:
+            g = gcd(a, b, d)
+            if g > 1:
+                a //= g
+                b //= g
+                d //= g
         out.a = a
         out.b = b
         out.d = d
@@ -260,7 +261,9 @@ def _canonicalize(terms: dict[TermKey, GaussRat]) -> dict[TermKey, GaussRat]:
         del terms[k]
     # Opportunistic inverse reduction: equal-coefficient sums
     # sum_i c x^(m+2e_i) r^rp collapse back to c x^m r^(rp+2) when rp <= -1.
-    changed = True
+    # Each group is found from its x0^2 member, so without a key of that
+    # shape there is nothing to collapse.
+    changed = any(rp <= -1 and m[0] >= 2 for m, rp, _ in terms)
     while changed:
         changed = False
         for key in list(terms.keys()):
@@ -291,14 +294,19 @@ def _canonicalize(terms: dict[TermKey, GaussRat]) -> dict[TermKey, GaussRat]:
 
 
 class ScalarExpr:
-    """Immutable element of the localized radius ring on one chart."""
+    """Immutable element of the localized radius ring on one chart.
+
+    The constructor takes ownership of ``terms``: unless ``_canonical`` says
+    it is canonical already, it is reduced in place and kept, so callers
+    pass a dict built for this expression and do not touch it afterwards.
+    """
 
     __slots__ = ("_t", "chart", "_hash", "_dcache")
 
     def __init__(self, terms: dict[TermKey, GaussRat], chart: int = CHART_NONE,
                  _canonical: bool = False):
         if not _canonical:
-            terms = _canonicalize(dict(terms))
+            terms = _canonicalize(terms)
         if not any(k[2] for k in terms):
             chart = CHART_NONE
         elif chart == CHART_NONE:
@@ -659,11 +667,6 @@ _SE_ZERO = ScalarExpr({}, CHART_NONE, _canonical=True)
 
 
 # Module-level forms of the operations, matching the verb-style interface.
-
-def normalize(e: ScalarExpr) -> ScalarExpr:
-    """Re-canonicalize an expression (idempotent by construction)."""
-    return ScalarExpr(dict(e._t), e.chart)
-
 
 def differentiate(e: ScalarExpr, axis: int) -> ScalarExpr:
     return e.diff(axis)

@@ -10,9 +10,16 @@ and derivatives; products of words are rewritten to normal order through
 [T_a, T_b] = i eps_abc T_c with memoized rewriting, and composition of
 differential parts uses the generalized Leibniz rule.
 
+Composition accumulates each output coefficient as one raw term sum: the
+term products of every Leibniz contribution go straight into a plain dict
+per (word, derivative) key, and each key is reduced to canonical form once,
+when the result is built.  No intermediate ScalarExpr is formed per term.
+
 A Budget can cap the total monomial work of a block of compositions; the
 cap turning into TermBudgetExceeded is the signal to switch a check to a
-cheaper strategy rather than grind on.
+cheaper strategy rather than grind on.  The work charged is counted in
+canonical-operand terms (coefficient lengths times word count per Leibniz
+contribution), independent of how the result is accumulated.
 """
 
 from __future__ import annotations
@@ -23,7 +30,15 @@ from itertools import product as iterproduct
 from math import comb
 
 from .errors import TermBudgetExceeded
-from .exact import CHART_NONE, GR_ONE, GaussRat, Point5, ScalarExpr, _join_chart
+from .exact import (
+    CHART_NONE,
+    GR_ONE,
+    GaussRat,
+    Point5,
+    ScalarExpr,
+    TermKey,
+    _join_chart,
+)
 from .gmat import SPIN, Mat, meye, mmul
 
 Word = tuple[int, int, int]
@@ -299,7 +314,15 @@ class OperatorExpr:
         # every key pair costs at least one unit; charging the floor up
         # front lets a budget rule out an oversized composition cheaply
         _charge(len(self._t) * len(other._t))
-        acc: dict[tuple[Word, Deriv], ScalarExpr] = {}
+        # Each output (word, deriv) key owns one raw term dict.  Every
+        # Leibniz term c1 * d^gamma c2, scaled by its binomial multiplicity
+        # and word coefficient, is multiplied term by term straight into
+        # it; zeros and r^2 are left for the single canonicalization of
+        # each key when the result is built.  The _charge calls count the
+        # canonical operands (terms of c1 and of d^gamma c2, times words),
+        # not the raw sums, so budget decisions do not depend on this.
+        raw: dict[tuple[Word, Deriv], dict[TermKey, GaussRat]] = {}
+        charts: dict[tuple[Word, Deriv], int] = {}
         for (w1, d1), c1 in self._t.items():
             for (w2, d2), c2 in other._t.items():
                 words = word_mul(w1, w2)
@@ -308,27 +331,36 @@ class OperatorExpr:
                     if dc2.is_structural_zero():
                         continue
                     _charge(len(c1._t) * len(dc2._t) * len(words))
+                    chart = _join_chart(c1.chart, dc2.chart)
                     mult = 1
                     for n, g in zip(d1, gamma):
                         mult *= comb(n, g)
-                    coeff = c1 * dc2
-                    if mult != 1:
-                        coeff = coeff * mult
-                    if coeff.is_structural_zero():
-                        continue
                     dres = tuple(n - g + m
                                  for n, g, m in zip(d1, gamma, d2))
+                    targets = []
                     for w, wc in words.items():
                         key = (w, dres)
-                        add = coeff * wc
-                        prev = acc.get(key)
-                        nc = add if prev is None else prev + add
-                        if nc.is_structural_zero():
-                            if prev is not None:
-                                del acc[key]
+                        acc = raw.get(key)
+                        if acc is None:
+                            acc = raw[key] = {}
+                            charts[key] = chart
                         else:
-                            acc[key] = nc
-        return OperatorExpr(acc)
+                            charts[key] = _join_chart(charts[key], chart)
+                        scale = wc * mult if mult != 1 else wc
+                        targets.append(
+                            (acc, None if scale == GR_ONE else scale))
+                    for (m1, r1, a1), v1 in c1._t.items():
+                        for (m2, r2, a2), v2 in dc2._t.items():
+                            tk = ((m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2],
+                                   m1[3] + m2[3], m1[4] + m2[4]),
+                                  r1 + r2, a1 + a2)
+                            v = v1 * v2
+                            for acc, scale in targets:
+                                c = v if scale is None else v * scale
+                                prev = acc.get(tk)
+                                acc[tk] = c if prev is None else prev + c
+        return OperatorExpr({key: ScalarExpr(acc, charts[key])
+                             for key, acc in raw.items()})
 
     def __repr__(self):
         return f"OperatorExpr({len(self._t)} terms, {self.term_count()} monomials)"
@@ -336,10 +368,6 @@ class OperatorExpr:
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return a @ b - b @ a
-
-
-def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a @ b + b @ a
 
 
 # ----- spin-1/2 function application ----------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -352,32 +352,39 @@ def _so51_generator(ops: SymmetryOperators, m: int, n: int):
     return ops.L(m, n)
 
 
+def _c3_pairings(ops: SymmetryOperators, mu: int, nu: int) -> OperatorExpr:
+    """Sum of eps(mu nu a b c d) D~_ab D~_cd over the six ways to split the
+    four indices other than mu, nu into two sorted pairs a < b and c < d."""
+    rest = [k for k in range(6) if k not in (mu, nu)]
+    G = OperatorExpr.zero()
+    for a, b in combinations(rest, 2):
+        c, d = (k for k in rest if k not in (a, b))
+        G = G + (_so51_generator(ops, a, b) @ _so51_generator(ops, c, d)) \
+            * _perm_sign((mu, nu, a, b, c, d))
+    return G
+
+
 def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
     """C3-cleared: eps contraction of three D~ against 96 (mu0 e2/hbar) T^2.
 
     Each epsilon term touches index 5 exactly once, so the contraction is
     linear in Mt and needs no Hamiltonian clearing at all.
+
+    The contraction is sum over mu < nu of 2 D~_mn G_mn, with G_mn the sum
+    over the 24 orderings (rho, sg, ta, la) of the other four indices of
+    eps(mu nu rho sg ta la) D~_rho,sg D~_ta,la.  D~ is antisymmetric by
+    construction: L(i, j) = -L(j, i), and D~_k5 = +Mt_k, D~_5k = -Mt_k.
+    Swapping rho with sg, or ta with la, flips both the epsilon sign and
+    one factor, so the four orderings of each split into two pairs give the
+    same term.  G_mn is therefore 4 times the sum over the six splits into
+    sorted pairs, and the whole contraction carries 8 = 2 x 4.  That
+    composes 90 distinct pair products instead of 360.
     """
     p = ops.params
-    pair_cache: dict = {}
-
-    def dd(a, b, c, d):
-        key = (a, b, c, d)
-        if key not in pair_cache:
-            pair_cache[key] = (_so51_generator(ops, a, b)
-                               @ _so51_generator(ops, c, d))
-        return pair_cache[key]
-
     total = OperatorExpr.zero()
-    for mu in range(6):
-        for nu in range(mu + 1, 6):
-            rest = [k for k in range(6) if k not in (mu, nu)]
-            G = OperatorExpr.zero()
-            for perm in permutations(rest):
-                rho, sg, ta, la = perm
-                sign = _perm_sign((mu, nu, rho, sg, ta, la))
-                G = G + dd(rho, sg, ta, la) * sign
-            total = total + (_so51_generator(ops, mu, nu) @ G) * 2
+    for mu, nu in combinations(range(6), 2):
+        total = total + (_so51_generator(ops, mu, nu)
+                         @ _c3_pairings(ops, mu, nu)) * 8
     K3 = 96 * p.mu0 * p.e2 / p.hbar
     return total - ops.T2 * K3
 
@@ -554,40 +561,6 @@ def _word_mat_num(w):
         m = tuple(tuple(v.to_complex() for v in row) for row in g)
         _WORD_MAT_NUM[w] = m
     return m
-
-
-def apply_at(op: OperatorExpr, f: IsoFun, p: Point5) -> tuple[complex, complex]:
-    """Value of (op f) at a point, without building op f symbolically.
-
-    Small workloads differentiate f symbolically per signature; once the
-    signature count times the image size gets large, one numeric jet of
-    each component delivers every derivative in a single pass.
-    """
-    dset = {d for (_, d) in op._t}
-    size = len(f.c[0]._t) + len(f.c[1]._t)
-    jet: dict = {}
-    if dset and size * len(dset) > 20_000:
-        order = max(sum(d) for d in dset)
-        pj = PointJet(p, order)
-        d0 = pj.derivatives(f.c[0])
-        d1 = pj.derivatives(f.c[1])
-        jet = {d: (d0[d], d1[d]) for d in dset}
-    up = 0j
-    down = 0j
-    for (w, d), c in op.items():
-        vd = jet.get(d)
-        if vd is None:
-            g0 = f.c[0].multi_diff(d).evaluate(p)
-            g1 = f.c[1].multi_diff(d).evaluate(p)
-            vd = (g0.to_complex() if isinstance(g0, GaussRat) else complex(g0),
-                  g1.to_complex() if isinstance(g1, GaussRat) else complex(g1))
-            jet[d] = vd
-        m = _word_mat_num(w)
-        cv = c.evaluate(p)
-        cv = cv.to_complex() if isinstance(cv, GaussRat) else complex(cv)
-        up += cv * (m[0][0] * vd[0] + m[0][1] * vd[1])
-        down += cv * (m[1][0] * vd[0] + m[1][1] * vd[1])
-    return up, down
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,17 @@ def test_verify_single_relation(capsys):
     assert doc["rows"][0]["passed"] is True
 
 
+@pytest.mark.parametrize("suite", ["spectrum", "radial"])
+def test_verify_reaches_spectrum_and_radial(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["summary"]["failed"] == 0
+    assert doc["rows"]
+    assert {r["suite"] for r in doc["rows"]} == {suite}
+    assert doc["config"]["suites"] == [suite]
+
+
 def test_verify_relation_requires_algebra(capsys):
     code, _, err = run(capsys, "verify", "euler", "--relation", "pi-x")
     assert code == 2

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import random
 import threading
+from fractions import Fraction
 
 import pytest
 
 from hkit.errors import TermBudgetExceeded
-from hkit.exact import GR_I, GaussRat, X, R, evaluate
+from hkit.exact import (
+    CHART_A,
+    CHART_B,
+    GR_I,
+    GaussRat,
+    R,
+    ScalarExpr,
+    X,
+    evaluate,
+)
 from hkit.gmat import (
     SPIN,
     commutator as mat_commutator,
@@ -130,3 +141,74 @@ def test_term_count_grows_with_products():
     e = OperatorExpr.from_scalar(X[0]) @ OperatorExpr.deriv(1)
     assert e.term_count() >= 1
     assert (e @ e).term_count() >= e.term_count()
+
+
+# ----- composition against independent routes --------------------------------
+
+_WORDS = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 0, 1), (1, 1, 0), (0, 0, 2)]
+
+
+def _random_rational(rng):
+    return Fraction(rng.choice([-5, -3, -2, 2, 3, 7]),
+                    rng.choice([1, 2, 3, 4]))
+
+
+def _random_scalar(rng, chart, terms=2):
+    """A few terms with non-unit Gaussian-rational coefficients, negative
+    and positive powers of r and of the chart's axis factor."""
+    out = ScalarExpr.zero()
+    for _ in range(terms):
+        coeff = GaussRat(_random_rational(rng),
+                         _random_rational(rng) if rng.random() < 0.5 else 0)
+        mono = [rng.randint(0, 1) for _ in range(5)]
+        out = out + ScalarExpr.term(coeff, mono, rp=rng.randint(-2, 1),
+                                    ap=rng.randint(-1, 1), chart=chart)
+    return out
+
+
+def _random_operator(rng, chart, terms=2):
+    """Terms c(x) * word * d^alpha with a word from _WORDS and |alpha| <= 2;
+    the first term always differentiates, so products use the Leibniz rule."""
+    t = {}
+    for k in range(terms):
+        deriv = [0] * 5
+        for _ in range(rng.randint(0 if k else 1, 2)):
+            deriv[rng.randrange(5)] += 1
+        t[(rng.choice(_WORDS), tuple(deriv))] = _random_scalar(rng, chart)
+    return OperatorExpr(t)
+
+
+@pytest.fixture(params=[CHART_A, CHART_B], ids=["chart-A", "chart-B"])
+def random_ops(request, seed):
+    rng = random.Random(seed + request.param)
+    a, b, c = (_random_operator(rng, request.param) for _ in range(3))
+    f = IsoFun(_random_scalar(rng, request.param, 3),
+               _random_scalar(rng, request.param, 3))
+    return a, b, c, f
+
+
+def test_matmul_is_associative(random_ops):
+    a, b, c, _ = random_ops
+    assert ((a @ b) @ c - a @ (b @ c)).is_zero()
+
+
+def test_matmul_distributes_over_addition(random_ops):
+    a, b, c, _ = random_ops
+    assert (a @ (b + c) - a @ b - a @ c).is_zero()
+
+
+def test_matmul_agrees_with_nested_apply(random_ops):
+    a, b, _, f = random_ops
+    combined = apply(a @ b, f)
+    nested = apply(a, apply(b, f))
+    for got, want in zip(combined.c, nested.c):
+        assert (got - want).is_zero()
+
+
+def test_matmul_coefficients_are_canonical(random_ops):
+    a, b, c, _ = random_ops
+    for prod in (a @ b, b @ c, (a @ b) @ c):
+        assert len(prod) > 0
+        for _, coeff in prod.items():
+            assert not coeff.is_structural_zero()
+            assert all(rp < 2 for (_, rp, _), _ in coeff.items())

@@ -5,13 +5,19 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from hkit.operators import OperatorExpr
 from hkit.params import UnitParams
 from hkit.symmetry import (
     RELATION_NAMES,
+    _c3_pairings,
+    _perm_sign,
+    _so51_generator,
     build_operators,
+    casimir_c3_residual,
     casimir_check,
     verify_relation,
 )
@@ -67,6 +73,29 @@ def test_casimir_quadratic_exact(unit_ops):
 def test_casimir_cubic_exact(unit_ops):
     r = casimir_check(unit_ops, "C3")
     assert r.passed and r.mode == "exact" and r.residual == 0.0
+
+
+@pytest.mark.parametrize("mu,nu", [(0, 1), (2, 5)])
+def test_c3_pairings_equal_quarter_of_all_orderings(unit_ops, mu, nu):
+    """Antisymmetry of D~ folds the 24 orderings of the other four indices
+    into 6 pairings, each counted 4 times."""
+    rest = [k for k in range(6) if k not in (mu, nu)]
+    full = OperatorExpr.zero()
+    for rho, sg, ta, la in permutations(rest):
+        full = full + (_so51_generator(unit_ops, rho, sg)
+                       @ _so51_generator(unit_ops, ta, la)) \
+            * _perm_sign((mu, nu, rho, sg, ta, la))
+    assert not full.is_zero()
+    assert (_c3_pairings(unit_ops, mu, nu) * 4 - full).is_zero()
+
+
+def test_c3_residual_detects_a_wrong_constant(unit_ops):
+    """The C3 check is not vacuous: shifting the constant 96 mu0 e2 / hbar
+    by one unit of T^2 leaves a nonzero residual."""
+    p = unit_ops.params
+    resid = casimir_c3_residual(unit_ops)
+    assert resid.is_zero()
+    assert not (resid + unit_ops.T2 * (p.mu0 * p.e2 / p.hbar)).is_zero()
 
 
 def test_casimir_quartic(unit_ops):
