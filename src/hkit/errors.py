@@ -13,14 +13,6 @@ class SingularPoint(HkitError):
     """Evaluation hit a zero denominator (r = 0 or an axis factor = 0)."""
 
 
-class SingularAxis(HkitError):
-    """A construction was requested on the half-axis where its chart degenerates."""
-
-
-class SingularMetric(HkitError):
-    """The induced metric is degenerate at the requested point."""
-
-
 class BadDimension(HkitError):
     """An input vector has a length the requested map does not accept."""
 
@@ -39,10 +31,6 @@ class OrderingViolation(HkitError):
 
 class InvalidQuantumNumbers(HkitError):
     """Quantum numbers outside the admissible lattice."""
-
-
-class RelationFailed(HkitError):
-    """An operator identity that must hold exactly reduced to a nonzero value."""
 
 
 class TermBudgetExceeded(HkitError):

@@ -531,7 +531,7 @@ def gauge_transform_check(n_points: int = 100, seed: int = 0) -> float:
         n += 1
         ang = space_angles(x)
         al, be, ga = ang.alpha, ang.beta, ang.gamma
-        S = _ez(-ga) @ _ey(-be) @ _ez(-al)
+        S = transition_matrix(x)
         Sinv = _ez(al) @ _ey(be) @ _ez(ga)
         dSa = 1j * SPIN_NUM[3] @ Sinv
         dSb = _ez(al) @ (1j * SPIN_NUM[2]) @ _ey(be) @ _ez(ga)

@@ -12,7 +12,6 @@ Taylor coefficients then hand back all derivatives at once.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iterproduct
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -21,35 +20,50 @@ from .errors import SingularPoint
 from .exact import Point5, ScalarExpr
 
 
-def _multi_indices(order: int, nvars: int = 5):
-    out = [g for g in iterproduct(*(range(order + 1),) * nvars)
-           if sum(g) <= order]
-    out.sort(key=lambda g: (sum(g), g))
-    return out
+def _multi_indices(order: int, nvars: int = 5) -> np.ndarray:
+    """Every multi-index of total degree <= order, sorted by (degree, index)."""
+    grid = np.indices((order + 1,) * nvars).reshape(nvars, -1).T
+    grid = grid[grid.sum(axis=1) <= order]
+    keys = [grid[:, k] for k in reversed(range(nvars))] + [grid.sum(axis=1)]
+    return grid[np.lexsort(keys)]
 
 
 class _JetSpace:
-    """Index bookkeeping and multiplication table for one truncation order."""
+    """Index bookkeeping and multiplication table for one truncation order.
+
+    Jets are sorted by degree, so truncating a jet to a lower order keeps a
+    prefix, and the partners b of a with |a| + |b| <= order are the first
+    entries up to degree order - |a|.  A multi-index g is encoded as
+    sum g_i (order+1)^i; no component exceeds the order, so the code of a
+    sum of two indices is the sum of their codes.
+    """
 
     _cache: dict[int, "_JetSpace"] = {}
 
     def __init__(self, order: int):
         self.order = order
-        self.indices = _multi_indices(order)
+        grid = _multi_indices(order)
+        self.grid = grid
+        self.indices = [tuple(g) for g in grid.tolist()]
         self.pos = {g: i for i, g in enumerate(self.indices)}
         self.dim = len(self.indices)
-        ia, ib, ic = [], [], []
-        for i, ga in enumerate(self.indices):
-            for j, gb in enumerate(self.indices):
-                if sum(ga) + sum(gb) <= order:
-                    ia.append(i)
-                    ib.append(j)
-                    ic.append(self.pos[tuple(a + b for a, b in zip(ga, gb))])
-        self.ia = np.array(ia)
-        self.ib = np.array(ib)
-        self.ic = np.array(ic)
-        self.fact = np.array([float(np.prod([factorial(k) for k in g]))
-                              for g in self.indices])
+        self._base = (order + 1) ** np.arange(5)
+        code = (grid * self._base).sum(axis=1)
+        self._lookup = np.full((order + 1) ** 5, self.dim)  # dim: not in space
+        self._lookup[code] = np.arange(self.dim)
+        deg = grid.sum(axis=1)
+        up_to = np.searchsorted(deg, np.arange(order + 1), side="right")
+        counts = up_to[order - deg]
+        self.ia = np.repeat(np.arange(self.dim), counts)
+        self.ib = np.arange(len(self.ia)) - np.repeat(
+            np.cumsum(counts) - counts, counts)
+        self.ic = self._lookup[code[self.ia] + code[self.ib]]
+        fact = np.array([factorial(k) for k in range(order + 1)], dtype=float)
+        self.fact = fact[grid].prod(axis=1)
+
+    def locate(self, grid: np.ndarray) -> np.ndarray:
+        """Positions of the rows of an array of multi-indices in this space."""
+        return self._lookup[(grid * self._base).sum(axis=1)]
 
     @staticmethod
     def get(order: int) -> "_JetSpace":
@@ -110,7 +124,6 @@ class PointJet:
         self._axis: dict[int, dict[int, np.ndarray]] = {}
         self._pow_x: dict[tuple[int, int], np.ndarray] = {}
         self._term_cache: dict = {}
-        self._expr_cache: dict = {}
 
     def _series(self, w: np.ndarray, q: Fraction) -> np.ndarray:
         """(1 + w)^q for a jet w with zero constant part."""
@@ -191,16 +204,6 @@ class PointJet:
             out += c.to_complex() * self.term(mono, rp, ap, s)
         return out
 
-    def expr_cached(self, e: ScalarExpr) -> np.ndarray:
-        """Jet of an expression, memoized by identity for reuse across
-        operator terms that share coefficient objects."""
-        key = id(e)
-        got = self._expr_cache.get(key)
-        if got is None:
-            got = (e, self.expr(e))
-            self._expr_cache[key] = got
-        return got[1]
-
     def derivatives(self, e: ScalarExpr) -> dict[tuple, complex]:
         """{gamma: (d^gamma e)(p)} for every gamma within the order."""
         jet = self.expr(e) * self.space.fact
@@ -216,15 +219,8 @@ def shift_table(hi: _JetSpace, lo: _JetSpace, d: tuple):
     key = (hi.order, lo.order, d)
     got = _SHIFT_CACHE.get(key)
     if got is None:
-        src = np.empty(lo.dim, dtype=int)
-        scale = np.empty(lo.dim)
-        for i, g in enumerate(lo.indices):
-            tgt = tuple(a + b for a, b in zip(g, d))
-            src[i] = hi.pos[tgt]
-            s = 1.0
-            for a, b in zip(g, d):
-                s *= factorial(a + b) / factorial(a)
-            scale[i] = s
+        src = hi.locate(lo.grid + d)
+        scale = hi.fact[src] / lo.fact
         got = (src, scale)
         _SHIFT_CACHE[key] = got
     return got

@@ -392,6 +392,27 @@ def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
 # -- C4: exact residual wants roughly 10^9 monomial operations, so the
 # budgeted attempt hands over to an applied check on seeded functions.
 
+def _c4_e0(ops: SymmetryOperators, m: int, r: int) -> OperatorExpr:
+    """E0_mr = sum over nu other than m, r of L_m,nu L_nu,r."""
+    acc = OperatorExpr.zero()
+    for nu in range(5):
+        if nu not in (m, r):
+            acc = acc + ops.L(m, nu) @ ops.L(nu, r)
+    return acc
+
+
+def _c4_el5_e5l(ops: SymmetryOperators,
+                m: int) -> tuple[OperatorExpr, OperatorExpr]:
+    """EL5_m = sum_nu L_m,nu Mt_nu and E5L_m = sum_nu Mt_nu L_nu,m."""
+    el5 = OperatorExpr.zero()
+    e5l = OperatorExpr.zero()
+    for nu in range(5):
+        if nu != m:
+            el5 = el5 + ops.L(m, nu) @ ops.M[nu]
+            e5l = e5l + ops.M[nu] @ ops.L(nu, m)
+    return el5, e5l
+
+
 def _c4_rhs_applied(ops: SymmetryOperators, f: IsoFun) -> IsoFun:
     """(C2c^2 + 6 C2c (-2H) - 4 C2c T2 (-2H) - 12 T2 (-2H)^2 + 6 T4 (-2H)^2) f,
     where C2c = K is the cleared C2 combination."""
@@ -410,19 +431,111 @@ def _c4_rhs_applied(ops: SymmetryOperators, f: IsoFun) -> IsoFun:
     return out
 
 
-class _JetApplier:
-    """Evaluates outer(inner(fun)) at one point in pure jet arithmetic.
+@dataclass(frozen=True)
+class _ChainPlan:
+    """One operator laid out for jet chains.
 
-    The inner operator maps the function's high-order jet to the jet of
-    its image at the order the outer operator needs; the outer operator
-    then reads single derivative values off that image jet.  Nothing is
-    composed or applied symbolically, so quartic chains cost milliseconds.
+    ``coef`` is the sparse (key x term) matrix of its coefficients over the
+    term columns of the `_ChainPlans` that built it.  ``derivs`` lists its
+    distinct derivatives.  ``mix`` is a sparse (2 * 2 nd x key) matrix, nd
+    = len(derivs): row s * 2 nd + b * nd + i sums, over the keys with
+    derivative derivs[i], entry (s, b) of the key's word matrix times the
+    key's row.  Applied to coefficient jets it folds the word matrices
+    into one jet per output component s, input component b and derivative.
     """
 
-    def __init__(self, p: Point5):
+    order: int
+    coef: object
+    mix: object
+    derivs: tuple
+
+
+class _ChainPlans:
+    """Chain plans of the operators of one check, shared by its points.
+
+    Every distinct coefficient term x^m r^k (r + s x0)^a of a planned
+    operator owns one column, so one stack of term jets per point serves
+    all plans.  Plans are keyed by operator identity and keep the operator
+    alive, so an id cannot be reused while its plan is cached.
+    """
+
+    def __init__(self):
+        self.terms: list[tuple] = []
+        self.order = 0
+        self._column: dict[tuple, int] = {}
+        self._plans: dict[int, tuple[OperatorExpr, _ChainPlan]] = {}
+
+    def get(self, op: OperatorExpr) -> _ChainPlan:
+        got = self._plans.get(id(op))
+        if got is None:
+            got = (op, self._build(op))
+            self._plans[id(op)] = got
+        return got[1]
+
+    def _build(self, op: OperatorExpr) -> _ChainPlan:
+        from scipy.sparse import csr_matrix  # already loaded by radial
+
+        column = self._column
+        rows, cols, vals = [], [], []
+        words, dsel, derivs = [], [], {}
+        for k, ((w, d), c) in enumerate(op.items()):
+            words.append(_word_mat_num(w))
+            dsel.append(derivs.setdefault(d, len(derivs)))
+            for (mono, rp, ap), v in c.items():
+                term = (mono, rp, ap, c.chart if ap else 0)
+                j = column.get(term)
+                if j is None:
+                    j = column[term] = len(self.terms)
+                    self.terms.append(term)
+                rows.append(k)
+                cols.append(j)
+                vals.append(v.to_complex())
+        n_keys, nd = len(words), len(derivs)
+        coef = csr_matrix((vals, (rows, cols)),
+                          shape=(n_keys, len(self.terms)), dtype=complex)
+        w = np.array(words, dtype=complex).reshape(n_keys, 2, 2)
+        s, b, k = np.nonzero(w.transpose(1, 2, 0))
+        mix = csr_matrix(
+            (w[k, s, b], (s * 2 * nd + b * nd + np.array(dsel, dtype=int)[k],
+                          k)),
+            shape=(4 * nd, n_keys), dtype=complex)
+        order = max((sum(d) for d in derivs), default=0)
+        self.order = max(self.order, order)
+        return _ChainPlan(order, coef, mix, tuple(derivs))
+
+
+class _JetApplier:
+    """Evaluates outer(inner(fun)) at one point in batched jet arithmetic.
+
+    With lo the derivative order of outer and hi = lo + that of inner, a
+    chain is a few array operations on the operators' plans:
+
+    - the coefficient jets of inner at order lo are its sparse coefficient
+      matrix times the stacked jets of the plans' terms at this point, and
+      its word mixer folds them into one jet a[s, b, d] per output
+      component s, input component b and derivative d of inner;
+    - the jet of d^d fun_b at order lo is gathered from fun's jet at order
+      hi by a shift table, for every derivative d of inner;
+    - output component s of the image jet is the truncated product
+      a[s][:, ia] * shifted[:, ib], summed over (b, d) and binned on ic;
+    - outer reads the derivatives of the image off that jet; its word
+      mixer applied to its coefficient values (its sparse matrix times the
+      term values) gives the weight of each (s, b, d).
+
+    Nothing is composed or applied symbolically.  The plans live as long
+    as the `_ChainPlans` passed in, one check in `_c4_lhs_applied`; the
+    point jets, function jets and term jets live as long as the applier,
+    one point.  Jet spaces and shift tables are cached per order for the
+    process.
+    """
+
+    def __init__(self, p: Point5, plans: _ChainPlans | None = None):
         self.p = p
+        self.plans = _ChainPlans() if plans is None else plans
         self._pj: dict[int, PointJet] = {}
         self._fjets: dict = {}
+        self._tjets: dict[int, np.ndarray] = {}
+        self._tjets_for = None
 
     def pj(self, order: int) -> PointJet:
         got = self._pj.get(order)
@@ -431,47 +544,60 @@ class _JetApplier:
             self._pj[order] = got
         return got
 
-    def fun_jet(self, fun: IsoFun, order: int):
+    def fun_jet(self, fun: IsoFun, order: int) -> np.ndarray:
+        """Jets of both components of fun at order, shape (2, dim)."""
         key = (id(fun), order)
         got = self._fjets.get(key)
         if got is None:
             pj = self.pj(order)
-            got = (fun, pj.expr(fun.c[0]), pj.expr(fun.c[1]))
+            got = (fun, np.array([pj.expr(fun.c[0]), pj.expr(fun.c[1])]))
             self._fjets[key] = got
-        return got[1], got[2]
+        return got[1]
+
+    def term_jets(self, order: int) -> np.ndarray:
+        """Jets of every planned term at order, one row per term column.
+
+        They are computed once at the plans' top order; a lower order is a
+        prefix of each row, because jets are sorted by degree.
+        """
+        plans = self.plans
+        top = (len(plans.terms), plans.order)
+        if self._tjets_for != top:
+            pj = self.pj(plans.order)
+            self._tjets = {plans.order: np.array(
+                [pj.term(*t) for t in plans.terms],
+                dtype=complex).reshape(top[0], pj.space.dim)}
+            self._tjets_for = top
+        got = self._tjets.get(order)
+        if got is None:
+            full = self._tjets[plans.order]
+            got = np.ascontiguousarray(full[:, :_JetSpace.get(order).dim])
+            self._tjets[order] = got
+        return got
 
     def chain(self, outer: OperatorExpr, inner: OperatorExpr,
               fun: IsoFun) -> tuple[complex, complex]:
-        n_out = max((sum(d) for (_, d) in outer._t), default=0)
-        n_in = max((sum(d) for (_, d) in inner._t), default=0)
-        lo = _JetSpace.get(n_out)
-        hi = _JetSpace.get(n_out + n_in)
-        pj_lo = self.pj(n_out)
-        f0, f1 = self.fun_jet(fun, n_out + n_in)
-        acc0 = np.zeros(lo.dim, dtype=complex)
-        acc1 = np.zeros(lo.dim, dtype=complex)
-        for (w, d), c in inner.items():
-            src, scale = shift_table(hi, lo, d)
-            s0 = f0[src] * scale
-            s1 = f1[src] * scale
-            m = _word_mat_num(w)
-            v0 = m[0][0] * s0 + m[0][1] * s1
-            v1 = m[1][0] * s0 + m[1][1] * s1
-            cjet = pj_lo.expr_cached(c)
-            acc0 += lo.mul(cjet, v0)
-            acc1 += lo.mul(cjet, v1)
-        up = 0j
-        down = 0j
-        for (w, d), c in outer.items():
-            i = lo.pos[d]
-            vd0 = acc0[i] * lo.fact[i]
-            vd1 = acc1[i] * lo.fact[i]
-            m = _word_mat_num(w)
-            cv = c.evaluate(self.p)
-            cv = cv.to_complex() if isinstance(cv, GaussRat) else complex(cv)
-            up += cv * (m[0][0] * vd0 + m[0][1] * vd1)
-            down += cv * (m[1][0] * vd0 + m[1][1] * vd1)
-        return up, down
+        po = self.plans.get(outer)
+        pi = self.plans.get(inner)
+        lo = _JetSpace.get(po.order)
+        hi = _JetSpace.get(po.order + pi.order)
+        f = self.fun_jet(fun, hi.order)
+        tables = [shift_table(hi, lo, d) for d in pi.derivs]
+        src = np.array([t[0] for t in tables], dtype=int).reshape(-1, lo.dim)
+        scale = np.array([t[1] for t in tables]).reshape(-1, lo.dim)
+        shifted = (f[:, src] * scale).reshape(-1, lo.dim)[:, lo.ib]
+        cj = pi.coef @ self.term_jets(lo.order)[:pi.coef.shape[1]]
+        a = (pi.mix @ cj).reshape(2, -1, lo.dim)
+        image = np.empty((2, lo.dim), dtype=complex)
+        for s in (0, 1):
+            prod = (a[s][:, lo.ia] * shifted).sum(axis=0)
+            image[s] = np.bincount(lo.ic, prod.real, lo.dim)
+            image[s] += 1j * np.bincount(lo.ic, prod.imag, lo.dim)
+        at = lo.locate(np.array(po.derivs, dtype=int).reshape(-1, 5))
+        vd = (image[:, at] * lo.fact[at]).reshape(-1)
+        vals = po.coef @ self.term_jets(0)[:po.coef.shape[1], 0]
+        up, down = ((po.mix @ vals).reshape(2, -1) * vd).sum(axis=1)
+        return complex(up), complex(down)
 
 
 def _c4_lhs_applied(ops: SymmetryOperators, f: IsoFun,
@@ -487,30 +613,20 @@ def _c4_lhs_applied(ops: SymmetryOperators, f: IsoFun,
     and since (-2H) commutes exactly with every L and Mt (verified first)
     the G1 products expand into four two-factor patterns with (-2H)
     pushed onto f.  Every pattern is a jet chain at each point.
+
+    The chain plans of all 61 operators are built once, before the first
+    point, and dropped when this returns; each point gets its own
+    `_JetApplier`, so its term and function jets are freed before the
+    next point's are made.
     """
     p = ops.params
     q = float(Fraction(1, 4) / p.mu0)
 
-    E0 = {}
-    for m in range(5):
-        for r in range(5):
-            acc = OperatorExpr.zero()
-            for nu in range(5):
-                if nu != m and nu != r:
-                    acc = acc + ops.L(m, nu) @ ops.L(nu, r)
-            E0[(m, r)] = acc
-
+    E0 = {(m, r): _c4_e0(ops, m, r) for m in range(5) for r in range(5)}
     el5 = {}
     e5l = {}
     for m in range(5):
-        a = OperatorExpr.zero()
-        b = OperatorExpr.zero()
-        for nu in range(5):
-            if nu != m:
-                a = a + ops.L(m, nu) @ ops.M[nu]
-                b = b + ops.M[nu] @ ops.L(nu, m)
-        el5[m] = a
-        e5l[m] = b
+        el5[m], e5l[m] = _c4_el5_e5l(ops, m)
 
     S = OperatorExpr.zero()
     for i in range(5):
@@ -521,9 +637,16 @@ def _c4_lhs_applied(ops: SymmetryOperators, f: IsoFun,
     c1 = -float(Fraction(1, 8) / p.mu0)
     c2 = float(Fraction(1, 32) / (p.mu0 * p.mu0))
 
+    plans = _ChainPlans()
+    for op in (*E0.values(), *el5.values(), *e5l.values(), S):
+        plans.get(op)
+    for m in range(5):
+        for r in range(5):
+            plans.get(ops.mm_pair(m, r))
+
     vals = []
     for pt in points:
-        ja = _JetApplier(pt)
+        ja = _JetApplier(pt, plans)
         vu = 0j
         vd = 0j
         for m in range(5):
@@ -602,32 +725,37 @@ def casimir_check(ops: SymmetryOperators, which: str,
 
 def _c4_exact_residual(ops: SymmetryOperators) -> OperatorExpr:
     """Full quartic contraction as operator algebra; only affordable with
-    a very large budget, kept as the reference path."""
+    a very large budget, kept as the reference path.
+
+    The 25 block products G1_mr @ G1_rm dominate, so each is charged its
+    floor len(G1_mr) len(G1_rm) before any is composed: the blocks are
+    built pair by pair, and each ordered pair is charged as soon as both of
+    its blocks exist.  The charges made before the first block product are
+    the same multiset whatever the order of building (each block and each
+    Mt_m Mt_r product is built once, from the same operands), and none is
+    negative.  Budget.used therefore grows monotonically to the same total,
+    so it exceeds a limit somewhere in this phase exactly when it would
+    with all blocks built first and one summed floor charge; only the
+    point of raising moves earlier.
+    """
     p = ops.params
     quarter = Fraction(1, 4) / p.mu0
+
     blocks = {}
     for m in range(5):
-        for r in range(5):
-            E0mr = OperatorExpr.zero()
-            for nu in range(5):
-                if nu not in (m, r):
-                    E0mr = E0mr + ops.L(m, nu) @ ops.L(nu, r)
-            blocks[(m, r)] = (E0mr @ ops.minus_2H
-                              - ops.mm_pair(m, r) * quarter)
-    # the 25 pending block products dominate; charge their floor now
-    _charge(sum(len(blocks[(m, r)]._t) * len(blocks[(r, m)]._t)
-                for m in range(5) for r in range(5)))
+        for r in range(m + 1):
+            pair = ((m, r),) if m == r else ((m, r), (r, m))
+            for a, b in pair:
+                blocks[(a, b)] = (_c4_e0(ops, a, b) @ ops.minus_2H
+                                  - ops.mm_pair(a, b) * quarter)
+            for a, b in pair:
+                _charge(len(blocks[(a, b)]._t) * len(blocks[(b, a)]._t))
     total = OperatorExpr.zero()
     for m in range(5):
         for r in range(5):
             total = total + (blocks[(m, r)] @ blocks[(r, m)]) * Fraction(1, 2)
     for m in range(5):
-        el5 = OperatorExpr.zero()
-        e5l = OperatorExpr.zero()
-        for nu in range(5):
-            if nu != m:
-                el5 = el5 + ops.L(m, nu) @ ops.M[nu]
-                e5l = e5l + ops.M[nu] @ ops.L(nu, m)
+        el5, e5l = _c4_el5_e5l(ops, m)
         total = total - ((el5 @ e5l + e5l @ el5) @ ops.minus_2H) \
             * (Fraction(1, 8) / p.mu0)
     S = OperatorExpr.zero()

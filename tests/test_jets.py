@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from hkit.exact import R, ScalarExpr, X, evaluate
-from hkit.jets import PointJet
+from hkit.jets import PointJet, _JetSpace, shift_table
 
 from conftest import rational_points
 
@@ -53,3 +53,33 @@ def test_jet_linearity():
     for gamma in combined:
         assert combined[gamma] == pytest.approx(da[gamma] + db[gamma],
                                                 rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_jet_space_tables(order):
+    """The product table lists every pair of indices whose degrees sum to
+    at most the order, each once, with the position of their sum."""
+    sp = _JetSpace(order)
+    assert sp.indices == sorted(sp.indices, key=lambda g: (sum(g), g))
+    assert len(sp.indices) == len(set(sp.indices))
+    assert all(sum(g) <= order for g in sp.indices)
+    want = {(i, j) for i, a in enumerate(sp.indices)
+            for j, b in enumerate(sp.indices) if sum(a) + sum(b) <= order}
+    pairs = list(zip(sp.ia.tolist(), sp.ib.tolist()))
+    assert len(pairs) == len(want) and set(pairs) == want
+    for i, j, k in zip(sp.ia, sp.ib, sp.ic):
+        assert sp.indices[k] == tuple(
+            a + b for a, b in zip(sp.indices[i], sp.indices[j]))
+
+
+def test_shift_table_differentiates_a_jet():
+    """Shifting a jet of e by d gives the jet of d^d e."""
+    e = EXPRS[4]
+    p = rational_points(1)[0]
+    d = (1, 0, 2, 0, 0)
+    hi, lo = PointJet(p, 4), PointJet(p, 1)
+    src, scale = shift_table(hi.space, lo.space, d)
+    got = hi.expr(e)[src] * scale * lo.space.fact
+    want = [complex(evaluate(e.multi_diff(tuple(a + b for a, b in zip(g, d))),
+                             p).to_complex()) for g in lo.space.indices]
+    assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
