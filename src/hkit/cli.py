@@ -231,7 +231,7 @@ def _add_run_flags(sub, default_format: str) -> None:
     sub.add_argument("--config", metavar="PATH",
                      help="INI config file (sections: run, units, tolerances, grids)")
     sub.add_argument("--seed", type=int, help="override the sampling seed")
-    sub.add_argument("--jobs", type=int, help="run suites in up to N threads")
+    sub.add_argument("--jobs", type=int, help="run suites in up to N worker processes")
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default=default_format)
     sub.add_argument("--out", metavar="PATH", help="write output to a file")

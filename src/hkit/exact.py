@@ -668,10 +668,6 @@ _SE_ZERO = ScalarExpr({}, CHART_NONE, _canonical=True)
 
 # Module-level forms of the operations, matching the verb-style interface.
 
-def differentiate(e: ScalarExpr, axis: int) -> ScalarExpr:
-    return e.diff(axis)
-
-
 def evaluate(e: ScalarExpr, p: Point5):
     return e.evaluate(p)
 

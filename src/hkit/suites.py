@@ -2,16 +2,22 @@
 returns CheckReport rows.
 
 Every suite is independent and deterministic under a fixed seed, so they
-can run in parallel; rows are assembled in canonical suite order no
-matter which worker finishes first.  A check that fails becomes a row
-with passed=False rather than an exception; only configuration problems
-abort a run.
+can run in parallel.  With jobs > 1, run_suite runs one suite per task in
+a pool of forked worker processes, never more workers than suites, and
+assembles the rows in canonical suite order no matter which worker
+finishes first.  The checks are pure-Python exact arithmetic, so threads
+would take turns on the interpreter lock; forked workers inherit the
+imported modules and the warm memos instead of importing hkit again.
+A check that fails becomes a row with passed=False rather than an
+exception, and so does a suite whose worker died; only configuration
+problems abort a run.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import random
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -415,25 +421,41 @@ SUITE_RUNNERS = {
 }
 
 
+def _crash_rows(name: str, exc: BaseException) -> list[CheckReport]:
+    return [CheckReport(name, "suite-crash", "unexpected exception",
+                        MODE_EXACT, None, False,
+                        f"{type(exc).__name__}: {exc}")]
+
+
 def _run_one(name: str, cfg: SuiteConfig) -> list[CheckReport]:
     try:
         return SUITE_RUNNERS[name](cfg)
     except Exception as exc:
         # A crashed runner becomes a failed row; the run itself continues.
-        return [CheckReport(name, "suite-crash", "unexpected exception",
-                            MODE_EXACT, None, False,
-                            f"{type(exc).__name__}: {exc}")]
+        return _crash_rows(name, exc)
 
 
 def run_suite(cfg: SuiteConfig) -> RunReport:
-    """Run the configured suites, in parallel when jobs > 1."""
+    """Run the configured suites, in worker processes when jobs > 1."""
     rows: list[CheckReport] = []
-    if cfg.jobs > 1 and len(cfg.suites) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+    # Under fork the pool starts all of its workers up front, so cap them.
+    workers = min(cfg.jobs, len(cfg.suites))
+    if workers > 1:
+        # fork is named because the default start method differs between
+        # platforms and Python versions; spawn would import hkit again in
+        # every worker.
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork")) as pool:
             futures = {name: pool.submit(_run_one, name, cfg)
                        for name in cfg.suites}
             for name in cfg.suites:
-                rows.extend(futures[name].result())
+                try:
+                    rows.extend(futures[name].result())
+                except Exception as exc:
+                    # A worker that died (BrokenProcessPool) or a result
+                    # that could not come back loses this suite's rows.
+                    rows.extend(_crash_rows(name, exc))
     else:
         for name in cfg.suites:
             rows.extend(_run_one(name, cfg))

@@ -21,17 +21,6 @@ from .gauge import _EPS4, Y_ANGULAR, _XBAR_INDEX, field_tensor, induced_metric, 
 from .transforms import HyperSpherical
 
 
-def transform_tensor2(J, F):
-    """Pull a rank-2 tensor through a Jacobian: F'_ik = J_im J_kn F_mn.
-
-    With the identity Jacobian this is the identity map, which is the
-    cheapest sanity check a coordinate change can have.
-    """
-    J = np.asarray(J, dtype=float)
-    F = np.asarray(F, dtype=float)
-    return J @ F @ J.T
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Node counts in (theta, beta, alpha, gamma) and the sphere radius."""
