@@ -33,6 +33,10 @@ class InvalidQuantumNumbers(HkitError):
     """Quantum numbers outside the admissible lattice."""
 
 
+class ExponentRange(HkitError):
+    """A term exponent lies outside the range a packed integer key can hold."""
+
+
 class TermBudgetExceeded(HkitError):
     """An exact expansion grew past its configured work budget."""
 

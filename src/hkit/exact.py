@@ -13,15 +13,19 @@ mix inside a single expression.
 Equality testing clears denominators and reduces modulo the radius relation.
 That is sound because r^2 - x.x is irreducible, so the quotient is an
 integral domain in which r and (r +- x0) are nonzero divisors.
+
+The zero test and operator composition work on Gaussian-integer numerators
+over one common denominator, with every term key packed into one int (see
+``pack_key``), so no GaussRat is built per intermediate term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from typing import Iterable, Iterator
 
-from .errors import ChartMismatch, SingularPoint
+from .errors import ChartMismatch, ExponentRange, SingularPoint
 
 Mono = tuple[int, int, int, int, int]
 TermKey = tuple[Mono, int, int]
@@ -293,6 +297,67 @@ def _canonicalize(terms: dict[TermKey, GaussRat]) -> dict[TermKey, GaussRat]:
     return terms
 
 
+# ----- packed term keys -----------------------------------------------------
+#
+# pack_key maps (m0..m4, rp, ap) to sum_j f_j * 2^(8j), one signed 8-bit
+# field per exponent.  The map is linear, so the key of a product of two
+# terms is the sum of their packed keys.  Every exponent that enters a
+# kernel must lie in [-EXP_LIMIT, EXP_LIMIT]: a sum of two such fields stays
+# inside [-128, 127], so no field carries into its neighbour and unpacking
+# is exact.  An exponent outside the range raises ExponentRange; it is never
+# allowed to collide with another key.
+
+EXP_LIMIT = 63
+
+# Unpacked keys, shared by every expression built from packed keys.
+_KEY_OF: dict[int, TermKey] = {}
+
+
+def check_exponents(keys) -> tuple[int, int, int]:
+    """Lowest monomial, r and axis exponents among ``keys`` (not empty).
+
+    Raises ExponentRange if any exponent lies outside [-EXP_LIMIT, EXP_LIMIT].
+    """
+    monos, rps, aps = zip(*keys)
+    lo = (min(map(min, monos)), min(rps), min(aps))
+    if (min(lo) < -EXP_LIMIT or max(map(max, monos)) > EXP_LIMIT
+            or max(rps) > EXP_LIMIT or max(aps) > EXP_LIMIT):
+        bad = next(k for k in keys
+                   if any(abs(f) > EXP_LIMIT for f in (*k[0], k[1], k[2])))
+        raise ExponentRange(
+            f"term {bad} has an exponent outside [-{EXP_LIMIT}, {EXP_LIMIT}]")
+    return lo
+
+
+def pack_key(key: TermKey) -> int:
+    """One int for (m0..m4, rp, ap); the caller has checked the exponents."""
+    m, rp, ap = key
+    return (m[0] + (m[1] << 8) + (m[2] << 16) + (m[3] << 24) + (m[4] << 32)
+            + (rp << 40) + (ap << 48))
+
+
+def unpack_key(p: int) -> TermKey:
+    """Inverse of pack_key on keys whose fields lie in [-128, 127]."""
+    key = _KEY_OF.get(p)
+    if key is None:
+        q = p
+        f = []
+        for _ in range(6):
+            v = ((q + 128) & 255) - 128
+            f.append(v)
+            q = (q - v) >> 8
+        key = _KEY_OF[p] = ((f[0], f[1], f[2], f[3], f[4]), f[5], q)
+    return key
+
+
+# is_zero's keys: (m0..m4, rp) in unsigned 10-bit fields, rp on top.
+_Z_RSHIFT = 50
+_Z_XALL = sum(1 << (10 * i) for i in range(5))
+_Z_X0_NOT_R = 1 - (1 << _Z_RSHIFT)
+_Z_R2 = 2 << _Z_RSHIFT
+_Z_R2_TO_X2 = tuple((2 << (10 * i)) - _Z_R2 for i in range(5))
+
+
 class ScalarExpr:
     """Immutable element of the localized radius ring on one chart.
 
@@ -301,7 +366,7 @@ class ScalarExpr:
     pass a dict built for this expression and do not touch it afterwards.
     """
 
-    __slots__ = ("_t", "chart", "_hash", "_dcache")
+    __slots__ = ("_t", "chart", "_hash", "_dcache", "_iv")
 
     def __init__(self, terms: dict[TermKey, GaussRat], chart: int = CHART_NONE,
                  _canonical: bool = False):
@@ -315,6 +380,7 @@ class ScalarExpr:
         self.chart = chart
         self._hash = None
         self._dcache = {}
+        self._iv = None
 
     # ----- constructors -------------------------------------------------
 
@@ -370,6 +436,20 @@ class ScalarExpr:
 
     def is_structural_zero(self) -> bool:
         return not self._t
+
+    def int_view(self) -> tuple[int, list[tuple[int, int, int]]]:
+        """(D, [(pack_key(key), re, im), ...]), cached: the terms in order,
+        each coefficient as the Gaussian integer re + i*im over the common
+        denominator D of all coefficients."""
+        iv = self._iv
+        if iv is None:
+            t = self._t
+            if t:
+                check_exponents(t)
+            d = lcm(*(c.d for c in t.values()))
+            iv = self._iv = (d, [(pack_key(k), c.a * (d // c.d),
+                                  c.b * (d // c.d)) for k, c in t.items()])
+        return iv
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -522,51 +602,73 @@ class ScalarExpr:
     # ----- equality -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        """Exact zero test: clear denominators, reduce, compare with 0."""
-        if not self._t:
+        """Exact zero test on Gaussian-integer numerators and packed keys.
+
+        Clears denominators once: each coefficient becomes a Gaussian-integer
+        numerator (re, im) over the common denominator, and every term is
+        multiplied by x^k r^k' (r + s*x0)^k'' so that no exponent is
+        negative; x_i, r and the axis factor are nonzero divisors, so this
+        keeps zero and nonzero apart.  The axis power is then expanded
+        binomially and r^2 is rewritten to x.x until every r-exponent is 0
+        or 1, all on keys (m0..m4, rp) packed into one int with unsigned
+        10-bit fields (an r^2 -> x.x step is one integer addition).  The
+        monomials x^m r^(0 or 1) are a basis of the quotient, so the
+        expression is zero exactly when every numerator left is zero.
+        Exponents must lie in [-EXP_LIMIT, EXP_LIMIT] (ExponentRange
+        otherwise); after the shift a key's fields sum to at most
+        5 * 2 * EXP_LIMIT + 4 * EXP_LIMIT = 882, so each fits in 10 bits.
+        """
+        terms = self._t
+        if not terms:
             return True
-        shift_r = max(0, -min(k[1] for k in self._t))
-        shift_a = max(0, -min(k[2] for k in self._t))
+        lo_m, lo_r, lo_a = check_exponents(terms)
+        base_shift = max(0, -lo_m) * _Z_XALL + (max(0, -lo_r) << _Z_RSHIFT)
+        shift_a = max(0, -lo_a)
         s = self.chart if self.chart else CHART_A
-        poly: dict[tuple[Mono, int], GaussRat] = {}
-
-        def put(mono, rp, c):
-            key = (mono, rp)
-            prev = poly.get(key)
-            nc = c if prev is None else prev + c
-            if nc:
-                poly[key] = nc
-            elif prev is not None:
-                del poly[key]
-
-        for (m, rp, ap), c in self._t.items():
-            rp2 = rp + shift_r
+        rows: dict[int, list[int]] = {}
+        d = lcm(*(c.d for c in terms.values()))
+        poly: dict[int, list[int]] = {}
+        get = poly.get
+        for (m, rp, ap), c in terms.items():
+            f = d // c.d
+            re = c.a * f
+            im = c.b * f
             n = ap + shift_a  # >= 0: expand (r + s*x0)^n binomially
-            for j in range(n + 1):
-                m2 = list(m)
-                m2[0] += j
-                cc = c * (comb(n, j) * (s ** j))
-                put((m2[0], m2[1], m2[2], m2[3], m2[4]), rp2 + n - j, cc)
-        stack = [k for k in poly if k[1] >= 2]
+            row = rows.get(n)
+            if row is None:
+                row = rows[n] = [comb(n, j) * s ** j for j in range(n + 1)]
+            k = (base_shift + m[0] + (m[1] << 10) + (m[2] << 20)
+                 + (m[3] << 30) + (m[4] << 40) + ((rp + n) << _Z_RSHIFT))
+            for w in row:
+                e = get(k)
+                if e is None:
+                    poly[k] = [re * w, im * w]
+                else:
+                    e[0] += re * w
+                    e[1] += im * w
+                k += _Z_X0_NOT_R
+        # r^2 -> x0^2 + ... + x4^2 on every key with rp >= 2 (rp is the top
+        # field, so that is a plain comparison)
+        stack = [k for k in poly if k >= _Z_R2]
         while stack:
             k = stack.pop()
-            c = poly.pop(k, None)
-            if not c:
+            e = poly.pop(k, None)
+            if e is None:
                 continue
-            m, rp = k
-            for i in range(5):
-                m2 = list(m)
-                m2[i] += 2
-                nk = ((m2[0], m2[1], m2[2], m2[3], m2[4]), rp - 2)
-                prev = poly.get(nk)
-                nc = c if prev is None else prev + c
-                if nc:
-                    poly[nk] = nc
-                    if nk[1] >= 2:
+            re, im = e
+            if not (re or im):
+                continue
+            for u in _Z_R2_TO_X2:
+                nk = k + u
+                e = get(nk)
+                if e is None:
+                    poly[nk] = [re, im]
+                    if nk >= _Z_R2:
                         stack.append(nk)
-                elif prev is not None:
-                    del poly[nk]
-        return not poly
+                else:
+                    e[0] += re
+                    e[1] += im
+        return not any(re or im for re, im in poly.values())
 
     def equals(self, other) -> bool:
         """Mathematical equality (structural __eq__ is deliberately separate)."""
@@ -664,16 +766,6 @@ class ScalarExpr:
 
 
 _SE_ZERO = ScalarExpr({}, CHART_NONE, _canonical=True)
-
-
-# Module-level forms of the operations, matching the verb-style interface.
-
-def evaluate(e: ScalarExpr, p: Point5):
-    return e.evaluate(p)
-
-
-def equals(a: ScalarExpr, b: ScalarExpr) -> bool:
-    return a.equals(b)
 
 
 X = tuple(ScalarExpr.coord(i) for i in range(5))

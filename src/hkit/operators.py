@@ -10,10 +10,16 @@ and derivatives; products of words are rewritten to normal order through
 [T_a, T_b] = i eps_abc T_c with memoized rewriting, and composition of
 differential parts uses the generalized Leibniz rule.
 
-Composition accumulates each output coefficient as one raw term sum: the
-term products of every Leibniz contribution go straight into a plain dict
-per (word, derivative) key, and each key is reduced to canonical form once,
-when the result is built.  No intermediate ScalarExpr is formed per term.
+Composition runs on integers.  Each coefficient's ``ScalarExpr.int_view``
+(cached on the expression) holds its terms as Gaussian-integer numerator
+pairs (re, im) over the coefficient's common denominator, with each term
+key (m0..m4, rp, ap) packed into one int by ``exact.pack_key``; multiplying
+two terms is one integer addition of keys and one Gaussian-integer product.
+Every output (word, derivative) key accumulates plain integer pairs over
+the denominator D_self * D_other of the two operands, and a GaussRat is
+built once per raw output term, just before that key is reduced to
+canonical form.  No intermediate ScalarExpr or GaussRat is formed per term
+product.  Exponents outside [-EXP_LIMIT, EXP_LIMIT] raise ExponentRange.
 
 A Budget can cap the total monomial work of a block of compositions; the
 cap turning into TermBudgetExceeded is the signal to switch a check to a
@@ -27,7 +33,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import product as iterproduct
-from math import comb
+from math import comb, lcm
 
 from .errors import TermBudgetExceeded
 from .exact import (
@@ -36,8 +42,8 @@ from .exact import (
     GaussRat,
     Point5,
     ScalarExpr,
-    TermKey,
     _join_chart,
+    unpack_key,
 )
 from .gmat import SPIN, Mat, meye, mmul
 
@@ -99,6 +105,28 @@ def _charge(n: int) -> None:
     stack = Budget._stack()
     if stack:
         stack[-1].charge(n)
+
+
+# ----- Leibniz rule ----------------------------------------------------------
+
+_LEIBNIZ: dict[Deriv, list[tuple[Deriv, int, Deriv]]] = {}
+
+
+def _leibniz(d: Deriv) -> list[tuple[Deriv, int, Deriv]]:
+    """The Leibniz rule d^d (c g) = sum over gamma <= d of
+    mult * (d^gamma c) * d^(d - gamma) g, as (gamma, mult, d - gamma) with
+    mult = prod_i binom(d_i, gamma_i), in itertools.product order."""
+    out = _LEIBNIZ.get(d)
+    if out is None:
+        out = []
+        for gamma in iterproduct(*(range(n + 1) for n in d)):
+            mult = 1
+            for n, g in zip(d, gamma):
+                mult *= comb(n, g)
+            out.append((gamma, mult,
+                        tuple(n - g for n, g in zip(d, gamma))))
+        _LEIBNIZ[d] = out
+    return out
 
 
 # ----- normal ordering of generator words ----------------------------------
@@ -249,17 +277,6 @@ class OperatorExpr:
     def is_structural_zero(self) -> bool:
         return not self._t
 
-    def max_residual(self, points: list[Point5]) -> float:
-        """Largest coefficient magnitude over sample points, a numeric
-        fallback diagnostic for expressions too wide to prove zero exactly."""
-        worst = 0.0
-        for k, c in self._t.items():
-            for p in points:
-                v = c.evaluate(p)
-                mag = abs(v.to_complex()) if isinstance(v, GaussRat) else abs(v)
-                worst = max(worst, mag)
-        return worst
-
     # algebra
 
     def __add__(self, other):
@@ -314,60 +331,81 @@ class OperatorExpr:
         # every key pair costs at least one unit; charging the floor up
         # front lets a budget rule out an oversized composition cheaply
         _charge(len(self._t) * len(other._t))
-        # Each output (word, deriv) key owns one raw term dict.  Every
-        # Leibniz term c1 * d^gamma c2, scaled by its binomial multiplicity
-        # and word coefficient, is multiplied term by term straight into
-        # it; zeros and r^2 are left for the single canonicalization of
-        # each key when the result is built.  The _charge calls count the
-        # canonical operands (terms of c1 and of d^gamma c2, times words),
-        # not the raw sums, so budget decisions do not depend on this.
-        raw: dict[tuple[Word, Deriv], dict[TermKey, GaussRat]] = {}
+        # Each output (word, deriv) key owns one raw dict from packed term
+        # key to [re, im], a Gaussian-integer numerator over the shared
+        # denominator D = D_self * D_other.  A Leibniz term c1 * d^gamma c2
+        # is multiplied term by term from the operands' integer views: the
+        # key is one addition, the coefficient a product of two Gaussian
+        # integers.  c1's view is first scaled by the binomial multiplicity,
+        # the word coefficient and the rescale of both view denominators to
+        # D, unless that factor is 1.  Zeros and r^2 are left for the single
+        # canonicalization of each key when the result is built, so every
+        # key keeps the term order of a plain term-by-term sum.  The charges
+        # count the canonical operands (terms of c1 and of d^gamma c2, times
+        # words), not the raw sums, so budget decisions do not depend on
+        # this.
+        d_self = lcm(*(c.int_view()[0] for c in self._t.values()))
+        d_other = lcm(*(c.int_view()[0] for c in other._t.values()))
+        raw: dict[tuple[Word, Deriv], dict[int, list[int]]] = {}
         charts: dict[tuple[Word, Deriv], int] = {}
         for (w1, d1), c1 in self._t.items():
+            den1, v1 = c1.int_view()
+            n1 = len(v1)
+            f1 = d_self // den1
+            chart1 = c1.chart
+            leibniz = _leibniz(d1)
             for (w2, d2), c2 in other._t.items():
                 words = word_mul(w1, w2)
-                for gamma in iterproduct(*(range(n + 1) for n in d1)):
+                nw = len(words)
+                for gamma, mult, rest in leibniz:
                     dc2 = c2.multi_diff(gamma)
-                    if dc2.is_structural_zero():
+                    if not dc2._t:
                         continue
-                    _charge(len(c1._t) * len(dc2._t) * len(words))
-                    chart = _join_chart(c1.chart, dc2.chart)
-                    mult = 1
-                    for n, g in zip(d1, gamma):
-                        mult *= comb(n, g)
-                    dres = tuple(n - g + m
-                                 for n, g, m in zip(d1, gamma, d2))
-                    targets = []
+                    _charge(n1 * len(dc2._t) * nw)
+                    chart = (chart1 if chart1 == dc2.chart
+                             else _join_chart(chart1, dc2.chart))
+                    den2, v2 = dc2.int_view()
+                    # a derivative's coefficients are integer multiples and
+                    # sums of c2's, so its denominator divides d_other
+                    f = d_other // den2 * f1 * mult
+                    dres = (rest[0] + d2[0], rest[1] + d2[1], rest[2] + d2[2],
+                            rest[3] + d2[3], rest[4] + d2[4])
                     for w, wc in words.items():
+                        if wc.d != 1:
+                            raise ArithmeticError(
+                                f"word coefficient {wc!r} is not a Gaussian "
+                                "integer")
                         key = (w, dres)
                         acc = raw.get(key)
                         if acc is None:
                             acc = raw[key] = {}
                             charts[key] = chart
-                        else:
+                        elif charts[key] != chart:
                             charts[key] = _join_chart(charts[key], chart)
-                        scale = wc * mult if mult != 1 else wc
-                        targets.append(
-                            (acc, None if scale == GR_ONE else scale))
-                    for (m1, r1, a1), v1 in c1._t.items():
-                        for (m2, r2, a2), v2 in dc2._t.items():
-                            tk = ((m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2],
-                                   m1[3] + m2[3], m1[4] + m2[4]),
-                                  r1 + r2, a1 + a2)
-                            v = v1 * v2
-                            for acc, scale in targets:
-                                c = v if scale is None else v * scale
-                                prev = acc.get(tk)
-                                acc[tk] = c if prev is None else prev + c
-        return OperatorExpr({key: ScalarExpr(acc, charts[key])
-                             for key, acc in raw.items()})
+                        sa, sb = wc.a * f, wc.b * f
+                        u1 = v1 if sa == 1 and sb == 0 else [
+                            (p1, a1 * sa - b1 * sb, a1 * sb + b1 * sa)
+                            for p1, a1, b1 in v1]
+                        get = acc.get
+                        for p1, a1, b1 in u1:
+                            for p2, a2, b2 in v2:
+                                tk = p1 + p2
+                                e = get(tk)
+                                if e is None:
+                                    acc[tk] = [a1 * a2 - b1 * b2,
+                                               a1 * b2 + b1 * a2]
+                                else:
+                                    e[0] += a1 * a2 - b1 * b2
+                                    e[1] += a1 * b2 + b1 * a2
+        den = d_self * d_other
+        make = GaussRat._make
+        return OperatorExpr({
+            key: ScalarExpr({unpack_key(tk): make(re, im, den)
+                             for tk, (re, im) in acc.items()}, charts[key])
+            for key, acc in raw.items()})
 
     def __repr__(self):
         return f"OperatorExpr({len(self._t)} terms, {self.term_count()} monomials)"
-
-
-def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a @ b - b @ a
 
 
 # ----- spin-1/2 function application ----------------------------------------

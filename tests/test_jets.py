@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from hkit.exact import R, ScalarExpr, X, evaluate
+from hkit.exact import R, ScalarExpr, X
 from hkit.jets import PointJet, _JetSpace, shift_table
 
 from conftest import rational_points
@@ -17,7 +17,7 @@ def _symbolic_derivatives(e, point, order):
     for gamma in product(range(order + 1), repeat=5):
         if sum(gamma) > order:
             continue
-        v = evaluate(e.multi_diff(gamma), point)
+        v = e.multi_diff(gamma).evaluate(point)
         out[gamma] = complex(v.to_complex())
     return out
 
@@ -80,6 +80,6 @@ def test_shift_table_differentiates_a_jet():
     hi, lo = PointJet(p, 4), PointJet(p, 1)
     src, scale = shift_table(hi.space, lo.space, d)
     got = hi.expr(e)[src] * scale * lo.space.fact
-    want = [complex(evaluate(e.multi_diff(tuple(a + b for a, b in zip(g, d))),
-                             p).to_complex()) for g in lo.space.indices]
+    want = [complex(e.multi_diff(tuple(a + b for a, b in zip(g, d)))
+                    .evaluate(p).to_complex()) for g in lo.space.indices]
     assert got == pytest.approx(want, rel=1e-10, abs=1e-10)

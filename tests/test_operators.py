@@ -5,19 +5,23 @@ from __future__ import annotations
 import random
 import threading
 from fractions import Fraction
+from itertools import product as iterproduct
+from math import comb
 
 import pytest
 
-from hkit.errors import TermBudgetExceeded
+from hkit.errors import ExponentRange, TermBudgetExceeded
 from hkit.exact import (
     CHART_A,
     CHART_B,
+    EXP_LIMIT,
     GR_I,
+    GR_ONE,
     GaussRat,
     R,
     ScalarExpr,
     X,
-    evaluate,
+    _join_chart,
 )
 from hkit.gmat import (
     SPIN,
@@ -33,8 +37,8 @@ from hkit.operators import (
     IsoFun,
     OperatorExpr,
     apply,
-    commutator,
     word_matrix,
+    word_mul,
 )
 
 
@@ -43,7 +47,7 @@ def _matrix_of(op, point):
     m = mzero(2)
     for (iso, deriv), coeff in op.items():
         assert deriv == (0, 0, 0, 0, 0)
-        m = madd(m, mscale(evaluate(coeff, point), word_matrix(iso)))
+        m = madd(m, mscale(coeff.evaluate(point), word_matrix(iso)))
     return m
 
 
@@ -67,7 +71,7 @@ def test_su2_commutators():
     sign = 1 if meq(mat_commutator(SPIN[1], SPIN[2]),
                     mscale(GR_I, SPIN[3])) else -1
     for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        resid = commutator(t[a], t[b]) - OperatorExpr.from_const(
+        resid = t[a] @ t[b] - t[b] @ t[a] - OperatorExpr.from_const(
             GaussRat(0, sign)) @ t[c]
         assert resid.is_zero()
 
@@ -77,9 +81,10 @@ def test_canonical_commutator():
     for i in range(5):
         d = OperatorExpr.deriv(i)
         x = OperatorExpr.from_scalar(X[i])
-        resid = commutator(d, x) - OperatorExpr.identity()
+        resid = d @ x - x @ d - OperatorExpr.identity()
         assert resid.is_zero()
-        assert commutator(d, OperatorExpr.from_scalar(X[(i + 1) % 5])).is_zero()
+        y = OperatorExpr.from_scalar(X[(i + 1) % 5])
+        assert (d @ y - y @ d).is_zero()
 
 
 def test_apply_composition(sample_points):
@@ -93,10 +98,22 @@ def test_apply_composition(sample_points):
         assert (got - want).is_zero()
 
 
+def _max_residual(op, points):
+    """Largest coefficient magnitude of an operator over sample points."""
+    worst = 0.0
+    for _, c in op.items():
+        for p in points:
+            v = c.evaluate(p)
+            worst = max(worst, abs(v.to_complex() if isinstance(v, GaussRat)
+                                   else v))
+    return worst
+
+
 def test_operator_residual_vanishes_on_identity(sample_points):
-    d0x0 = commutator(OperatorExpr.deriv(0), OperatorExpr.from_scalar(X[0]))
+    d0, x0 = OperatorExpr.deriv(0), OperatorExpr.from_scalar(X[0])
+    d0x0 = d0 @ x0 - x0 @ d0
     resid = d0x0 - OperatorExpr.identity()
-    assert resid.max_residual(sample_points) == 0.0
+    assert _max_residual(resid, sample_points) == 0.0
 
 
 def test_budget_aborts():
@@ -212,3 +229,101 @@ def test_matmul_coefficients_are_canonical(random_ops):
         for _, coeff in prod.items():
             assert not coeff.is_structural_zero()
             assert all(rp < 2 for (_, rp, _), _ in coeff.items())
+
+
+# ----- integer kernel against the GaussRat reference -------------------------
+
+def _reference_matmul(a, b):
+    """Composition accumulated term by term in GaussRat, without packed keys
+    or integer numerators: the kernel's definition, kept as its oracle."""
+    raw, charts = {}, {}
+    for (w1, d1), c1 in a.items():
+        for (w2, d2), c2 in b.items():
+            words = word_mul(w1, w2)
+            for gamma in iterproduct(*(range(n + 1) for n in d1)):
+                dc2 = c2.multi_diff(gamma)
+                if dc2.is_structural_zero():
+                    continue
+                chart = _join_chart(c1.chart, dc2.chart)
+                mult = 1
+                for n, g in zip(d1, gamma):
+                    mult *= comb(n, g)
+                dres = tuple(n - g + m for n, g, m in zip(d1, gamma, d2))
+                targets = []
+                for w, wc in words.items():
+                    key = (w, dres)
+                    acc = raw.get(key)
+                    if acc is None:
+                        acc = raw[key] = {}
+                        charts[key] = chart
+                    else:
+                        charts[key] = _join_chart(charts[key], chart)
+                    scale = wc * mult if mult != 1 else wc
+                    targets.append((acc, None if scale == GR_ONE else scale))
+                for (m1, r1, a1), v1 in c1.items():
+                    for (m2, r2, a2), v2 in dc2.items():
+                        tk = (tuple(x + y for x, y in zip(m1, m2)),
+                              r1 + r2, a1 + a2)
+                        v = v1 * v2
+                        for acc, scale in targets:
+                            c = v if scale is None else v * scale
+                            prev = acc.get(tk)
+                            acc[tk] = c if prev is None else prev + c
+    return OperatorExpr({key: ScalarExpr(acc, charts[key])
+                         for key, acc in raw.items()})
+
+
+def _assert_same_terms(got, want):
+    """Equal operators with keys, and each coefficient's terms, in the same
+    order: the float C4 check sums terms in this order."""
+    assert [k for k, _ in got.items()] == [k for k, _ in want.items()]
+    for (_, g), (_, w) in zip(got.items(), want.items()):
+        assert g.chart == w.chart
+        assert list(g.items()) == list(w.items())
+
+
+_SCALES = (Fraction(3, 2), Fraction(1, 3), GaussRat(0, Fraction(2, 5)))
+
+
+def test_matmul_matches_reference(random_ops):
+    a, b, c, _ = random_ops
+    for s1, s2 in zip(_SCALES, _SCALES[1:] + _SCALES[:1]):
+        for x, y in ((a, b), (b, c), (c, a)):
+            x, y = x * s1, y * s2
+            _assert_same_terms(x @ y, _reference_matmul(x, y))
+    ab = (a * _SCALES[2]) @ b
+    _assert_same_terms(ab @ (c * _SCALES[0]),
+                       _reference_matmul(ab, c * _SCALES[0]))
+
+
+def test_matmul_matches_reference_at_the_exponent_limit():
+    """Fields at +-EXP_LIMIT sum to +-2 EXP_LIMIT without touching a
+    neighbouring field."""
+    lim = EXP_LIMIT
+    e = (ScalarExpr.term(Fraction(3, 2), (lim, 0, lim, 0, 0), rp=-lim, ap=lim,
+                         chart=CHART_A)
+         + ScalarExpr.term(GaussRat(0, Fraction(2, 5)), (0, lim, 0, 0, lim),
+                           rp=1, ap=-lim, chart=CHART_A))
+    op = OperatorExpr({((1, 0, 0), (0, 0, 0, 0, 0)): e})
+    got = op @ op
+    _assert_same_terms(got, _reference_matmul(op, op))
+    assert got.term_count() > 0
+
+
+@pytest.mark.parametrize("mono,rp", [((200, 0, 0, 0, 0), 0),
+                                     ((0, 0, 0, 0, 0), -200)],
+                         ids=["x0^200", "r^-200"])
+def test_matmul_rejects_exponents_outside_the_packed_range(mono, rp):
+    big = OperatorExpr.from_scalar(ScalarExpr.term(1, mono, rp=rp))
+    small = OperatorExpr.from_scalar(X[1]) @ OperatorExpr.deriv(0)
+    for x, y in ((big, small), (small, big)):
+        with pytest.raises(ExponentRange, match="outside"):
+            _ = x @ y
+
+
+def test_word_coefficients_are_gaussian_integers():
+    """The kernel scales by word coefficients as Gaussian integers."""
+    words = [w for w in iterproduct(range(3), repeat=3)]
+    for w1 in words:
+        for w2 in words:
+            assert all(c.d == 1 for c in word_mul(w1, w2).values())
