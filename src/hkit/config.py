@@ -20,7 +20,6 @@ diff-friendly and need no extra dependency:
     charge_nodes = 16, 16, 8, 8
     charge_radius = 1.0
     n_points = 4096
-    term_budget = 2000000
 
 Precedence: built-in defaults < config file < HKIT_SEED environment
 variable (seed only) < explicit overrides from command-line flags.
@@ -54,6 +53,14 @@ DEFAULT_TOLERANCES = {
 
 ENV_SEED = "HKIT_SEED"
 
+# The keys each fixed section accepts; [tolerances] is checked against
+# DEFAULT_TOLERANCES by SuiteConfig.
+_SECTION_KEYS = {
+    "run": {"suites", "seed", "jobs"},
+    "units": {"hbar", "mu0", "e2"},
+    "grids": {"charge_nodes", "charge_radius", "n_points"},
+}
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -67,7 +74,6 @@ class SuiteConfig:
     charge_radius: float = 1.0
     n_points: int = 4096
     jobs: int = 1
-    term_budget: int = 2_000_000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "suites", normalize_suites(self.suites))
@@ -77,8 +83,6 @@ class SuiteConfig:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if self.n_points < 64:
             raise ConfigError(f"n_points must be at least 64, got {self.n_points}")
-        if self.term_budget < 1000:
-            raise ConfigError(f"term_budget must be at least 1000, got {self.term_budget}")
         if len(self.charge_nodes) != 4 or any(n < 2 for n in self.charge_nodes):
             raise ConfigError(f"charge_nodes needs four counts >= 2, got {self.charge_nodes}")
         if not self.charge_radius > 0:
@@ -137,6 +141,15 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
+        stray = set(parser.sections()) - {*_SECTION_KEYS, "tolerances"}
+        if stray:
+            raise ConfigError(f"unknown config sections: {', '.join(sorted(stray))}")
+        for section, keys in _SECTION_KEYS.items():
+            if parser.has_section(section):
+                stray = set(parser[section]) - keys
+                if stray:
+                    raise ConfigError(f"unknown keys in [{section}]: "
+                                      f"{', '.join(sorted(stray))}")
         if parser.has_section("run"):
             run = parser["run"]
             if "suites" in run:
@@ -170,12 +183,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
                         f"cannot parse charge_radius = {grids['charge_radius']!r}") from exc
             if "n_points" in grids:
                 values["n_points"] = _parse_int(grids["n_points"], "n_points")
-            if "term_budget" in grids:
-                values["term_budget"] = _parse_int(grids["term_budget"], "term_budget")
-        known = {"run", "units", "tolerances", "grids"}
-        stray = set(parser.sections()) - known
-        if stray:
-            raise ConfigError(f"unknown config sections: {', '.join(sorted(stray))}")
 
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
@@ -202,5 +209,4 @@ def config_echo(cfg: SuiteConfig) -> dict:
         "charge_radius": cfg.charge_radius,
         "n_points": cfg.n_points,
         "jobs": cfg.jobs,
-        "term_budget": cfg.term_budget,
     }

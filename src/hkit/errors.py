@@ -37,10 +37,6 @@ class ExponentRange(HkitError):
     """A term exponent lies outside the range a packed integer key can hold."""
 
 
-class TermBudgetExceeded(HkitError):
-    """An exact expansion grew past its configured work budget."""
-
-
 class GridTooCoarse(HkitError):
     """A discretized eigenproblem did not converge at the requested tolerance."""
 

@@ -20,22 +20,14 @@ the denominator D_self * D_other of the two operands, and a GaussRat is
 built once per raw output term, just before that key is reduced to
 canonical form.  No intermediate ScalarExpr or GaussRat is formed per term
 product.  Exponents outside [-EXP_LIMIT, EXP_LIMIT] raise ExponentRange.
-
-A Budget can cap the total monomial work of a block of compositions; the
-cap turning into TermBudgetExceeded is the signal to switch a check to a
-cheaper strategy rather than grind on.  The work charged is counted in
-canonical-operand terms (coefficient lengths times word count per Leibniz
-contribution), independent of how the result is accumulated.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from itertools import product as iterproduct
 from math import comb, lcm
 
-from .errors import TermBudgetExceeded
 from .exact import (
     CHART_NONE,
     GR_ONE,
@@ -61,50 +53,6 @@ for _i, _j, _k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
 
 def eps3(a: int, b: int, c: int) -> int:
     return EPS3.get((a, b, c), 0)
-
-
-# ----- work budget ---------------------------------------------------------
-
-class Budget:
-    """Context manager bounding the monomial work done inside its block.
-
-    The active stack is thread-local so budgets in one worker never see
-    the other workers' compositions.
-    """
-
-    _local = threading.local()
-
-    @classmethod
-    def _stack(cls) -> list["Budget"]:
-        stack = getattr(cls._local, "stack", None)
-        if stack is None:
-            stack = []
-            cls._local.stack = stack
-        return stack
-
-    def __init__(self, limit: int = 2_000_000):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, n: int) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise TermBudgetExceeded(
-                f"work {self.used} exceeded budget {self.limit}")
-
-    def __enter__(self):
-        Budget._stack().append(self)
-        return self
-
-    def __exit__(self, *exc):
-        Budget._stack().pop()
-        return False
-
-
-def _charge(n: int) -> None:
-    stack = Budget._stack()
-    if stack:
-        stack[-1].charge(n)
 
 
 # ----- Leibniz rule ----------------------------------------------------------
@@ -328,9 +276,6 @@ class OperatorExpr:
     def __matmul__(self, other: "OperatorExpr") -> "OperatorExpr":
         if not isinstance(other, OperatorExpr):
             return NotImplemented
-        # every key pair costs at least one unit; charging the floor up
-        # front lets a budget rule out an oversized composition cheaply
-        _charge(len(self._t) * len(other._t))
         # Each output (word, deriv) key owns one raw dict from packed term
         # key to [re, im], a Gaussian-integer numerator over the shared
         # denominator D = D_self * D_other.  A Leibniz term c1 * d^gamma c2
@@ -340,28 +285,22 @@ class OperatorExpr:
         # the word coefficient and the rescale of both view denominators to
         # D, unless that factor is 1.  Zeros and r^2 are left for the single
         # canonicalization of each key when the result is built, so every
-        # key keeps the term order of a plain term-by-term sum.  The charges
-        # count the canonical operands (terms of c1 and of d^gamma c2, times
-        # words), not the raw sums, so budget decisions do not depend on
-        # this.
+        # key keeps the term order of a plain term-by-term sum.
         d_self = lcm(*(c.int_view()[0] for c in self._t.values()))
         d_other = lcm(*(c.int_view()[0] for c in other._t.values()))
         raw: dict[tuple[Word, Deriv], dict[int, list[int]]] = {}
         charts: dict[tuple[Word, Deriv], int] = {}
         for (w1, d1), c1 in self._t.items():
             den1, v1 = c1.int_view()
-            n1 = len(v1)
             f1 = d_self // den1
             chart1 = c1.chart
             leibniz = _leibniz(d1)
             for (w2, d2), c2 in other._t.items():
                 words = word_mul(w1, w2)
-                nw = len(words)
                 for gamma, mult, rest in leibniz:
                     dc2 = c2.multi_diff(gamma)
                     if not dc2._t:
                         continue
-                    _charge(n1 * len(dc2._t) * nw)
                     chart = (chart1 if chart1 == dc2.chart
                              else _join_chart(chart1, dc2.chart))
                     den2, v2 = dc2.int_view()
@@ -454,7 +393,6 @@ def apply(op: OperatorExpr, f: IsoFun) -> IsoFun:
         m = word_matrix(w)
         h0 = g0 * m[0][0] + g1 * m[0][1]
         h1 = g0 * m[1][0] + g1 * m[1][1]
-        _charge(len(coeff._t) * (len(h0._t) + len(h1._t) + 1))
         for slot, h in ((0, h0), (1, h1)):
             if h.is_structural_zero():
                 continue

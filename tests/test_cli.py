@@ -218,6 +218,21 @@ def test_missing_config_file(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("body,key", [
+    ("[grids]\nterm_budget = 5000\n", "term_budget"),
+    ("[units]\nmuo = 3/2\n", "muo"),
+    ("[run]\nsuite = euler\n", "suite"),
+])
+def test_unknown_config_key(capsys, tmp_path, body, key):
+    path = tmp_path / "run.ini"
+    path.write_text(body)
+    code, out, err = run(capsys, "report", "--suites", "spectrum",
+                         "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert key in err
+
+
 def test_config_file_suites(capsys, tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[run]\nseed = 3\n[units]\ne2 = 2\n")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +49,7 @@ def test_file_parsing(tmp_path):
         "[units]\nhbar = 2\nmu0 = 3/2\ne2 = 1/4\n"
         "[tolerances]\ncharge = 1e-9\n"
         "[grids]\ncharge_nodes = 8, 8, 4, 4\ncharge_radius = 2.5\n"
-        "n_points = 128\nterm_budget = 5000\n")
+        "n_points = 128\n")
     cfg = load_config(str(path))
     assert cfg.suites == ("euler", "charge")
     assert cfg.seed == 7
@@ -60,7 +62,18 @@ def test_file_parsing(tmp_path):
     assert cfg.charge_nodes == (8, 8, 4, 4)
     assert cfg.charge_radius == 2.5
     assert cfg.n_points == 128
-    assert cfg.term_budget == 5000
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The INI example in the README is a config the parser accepts."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (example,) = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(example)
+    cfg = load_config(str(path))
+    assert cfg.suites == ("charge", "algebra")
+    assert cfg.mu0 == Fraction(3, 2)
+    assert cfg.n_points == 4096
 
 
 def test_missing_file():
@@ -115,7 +128,7 @@ def test_unknown_override_key():
     {"seed": -1},
     {"jobs": 0},
     {"n_points": 32},
-    {"term_budget": 10},
+    {"mu0": Fraction(0)},
     {"charge_nodes": (16, 16, 8)},
     {"charge_nodes": (16, 16, 8, 1)},
     {"charge_radius": 0.0},
@@ -138,4 +151,4 @@ def test_config_echo_is_json_ready():
     assert back["charge_nodes"] == [16, 16, 8, 8]
     assert list(back["tolerances"]) == sorted(DEFAULT_TOLERANCES)
     assert set(back) == {"suites", "seed", "units", "tolerances", "charge_nodes",
-                         "charge_radius", "n_points", "jobs", "term_budget"}
+                         "charge_radius", "n_points", "jobs"}

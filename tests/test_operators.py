@@ -1,16 +1,15 @@
-"""Operator layer: PBW words, composition, Leibniz rule, work budget."""
+"""Operator layer: PBW words, composition, Leibniz rule."""
 
 from __future__ import annotations
 
 import random
-import threading
 from fractions import Fraction
 from itertools import product as iterproduct
 from math import comb
 
 import pytest
 
-from hkit.errors import ExponentRange, TermBudgetExceeded
+from hkit.errors import ExponentRange
 from hkit.exact import (
     CHART_A,
     CHART_B,
@@ -33,7 +32,6 @@ from hkit.gmat import (
     mzero,
 )
 from hkit.operators import (
-    Budget,
     IsoFun,
     OperatorExpr,
     apply,
@@ -114,44 +112,6 @@ def test_operator_residual_vanishes_on_identity(sample_points):
     d0x0 = d0 @ x0 - x0 @ d0
     resid = d0x0 - OperatorExpr.identity()
     assert _max_residual(resid, sample_points) == 0.0
-
-
-def test_budget_aborts():
-    heavy = OperatorExpr.from_scalar(X[0] * X[1] + X[2] * X[3] + R.rpow(-2))
-    word = heavy
-    with pytest.raises(TermBudgetExceeded):
-        with Budget(50):
-            for _ in range(6):
-                word = word @ heavy
-
-
-def test_budget_is_thread_local():
-    """A tight budget in one thread never charges work done in another."""
-    heavy = OperatorExpr.from_scalar(X[0] * X[1] + X[2] * X[3] + R.rpow(-2))
-    outcome = {}
-
-    def tight():
-        try:
-            with Budget(50):
-                w = heavy
-                for _ in range(6):
-                    w = w @ heavy
-            outcome["tight"] = "finished"
-        except TermBudgetExceeded:
-            outcome["tight"] = "aborted"
-
-    def roomy():
-        w = heavy
-        for _ in range(6):
-            w = w @ heavy
-        outcome["roomy"] = "finished"
-
-    threads = [threading.Thread(target=tight), threading.Thread(target=roomy)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert outcome == {"tight": "aborted", "roomy": "finished"}
 
 
 def test_term_count_grows_with_products():

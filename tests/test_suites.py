@@ -6,11 +6,15 @@ import json
 import os
 from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
-from hkit import suites
+import pytest
+
+from hkit import suites, symmetry
 from hkit.cli import main
 from hkit.config import SuiteConfig
-from hkit.report import MODE_EXACT, CheckReport
+from hkit.operators import OperatorExpr
+from hkit.report import MODE_EXACT, MODE_NUMERIC, CheckReport, to_json
 
 CHEAP = ("euler", "gauge", "spectrum", "radial")
 
@@ -74,3 +78,41 @@ def test_dead_worker_becomes_crash_row(monkeypatch, tmp_path):
     assert crash[0]["detail"].startswith("BrokenProcessPool: ")
     # gauge either finished before the pool broke or lost its result too.
     assert {r["suite"] for r in rows} == {"euler", "gauge"}
+
+
+def test_crashed_suite_is_a_numeric_row(monkeypatch):
+    """A crash proves nothing, so it is not counted as an exact row."""
+    def crash(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "euler", crash)
+    report = suites.run_suite(SuiteConfig(suites=("euler",)))
+    (row,) = report.rows
+    assert (row.relation, row.mode, row.residual, row.passed) == (
+        "suite-crash", MODE_NUMERIC, None, False)
+    assert row.detail == "RuntimeError: boom"
+    assert report.summary["exact"] == 0
+    assert report.summary["numeric"] == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_failed_exact_casimir_row_is_valid_json(monkeypatch):
+    """A failed exact Casimir row carries a null residual, never NaN."""
+    jsonschema = pytest.importorskip("jsonschema")
+    monkeypatch.setattr(symmetry, "casimir_c2_residual",
+                        lambda ops: OperatorExpr.identity())
+    monkeypatch.setattr(symmetry, "casimir_c3_residual",
+                        lambda ops: OperatorExpr.zero())
+    monkeypatch.setattr(symmetry, "c4_applied_residual", lambda ops: 0.0)
+    text = to_json(suites.run_suite(SuiteConfig(suites=("casimir",))))
+    doc = json.loads(text, parse_constant=_reject_constant)
+    schema_path = (Path(__file__).resolve().parents[1] / "docs"
+                   / "report.schema.json")
+    jsonschema.validate(doc, json.loads(schema_path.read_text()))
+    c2 = next(r for r in doc["rows"] if r["relation"] == "c2-cleared")
+    assert c2["passed"] is False
+    assert c2["residual"] is None
+    assert doc["summary"]["failed"] == 1

@@ -9,14 +9,12 @@ from itertools import permutations
 
 import pytest
 
-from hkit.errors import TermBudgetExceeded
 from hkit.exact import CHART_A, CHART_B
-from hkit.operators import Budget, OperatorExpr, apply
+from hkit.operators import OperatorExpr, apply
 from hkit.params import UnitParams
 from hkit.symmetry import (
     RELATION_NAMES,
     _c3_pairings,
-    _c4_exact_residual,
     _c4_lhs_applied,
     _c4_rhs_applied,
     _JetApplier,
@@ -108,17 +106,8 @@ def test_c3_residual_detects_a_wrong_constant(unit_ops):
 
 
 def test_casimir_quartic(unit_ops):
-    """C4 either finishes exactly or falls back to applied evaluation; both
-    must pass at 1e-8."""
+    """C4 is checked by applied evaluation and passes at 1e-8."""
     r = casimir_check(unit_ops, "C4")
-    assert r.passed
-    assert r.mode in ("exact", "applied")
-    assert r.residual < 1e-8
-
-
-def test_casimir_quartic_budget_fallback(unit_ops):
-    """A tight budget forces the applied path; the residual stays small."""
-    r = casimir_check(unit_ops, "C4", term_budget=5000)
     assert r.mode == "applied"
     assert r.passed and r.residual < 1e-8
 
@@ -169,16 +158,6 @@ def test_applied_c4_at_nonunit_units():
     ops = build_operators(UnitParams(hbar=Fraction(1), mu0=Fraction(3, 2),
                                      e2=Fraction(1, 3)))
     assert c4_applied_residual(ops) < 1e-10
-
-
-def test_c4_exact_attempt_stops_at_its_floor():
-    """The block-product floor is charged pair by pair as the blocks are
-    built, so the default budget gives up well before all 25 exist."""
-    ops = build_operators()
-    with pytest.raises(TermBudgetExceeded):
-        with Budget(2_000_000) as budget:
-            _c4_exact_residual(ops)
-    assert budget.used < 2_500_000
 
 
 def test_casimir_scaled_units(scaled_ops):
