@@ -112,6 +112,17 @@ def test_casimir_quartic(unit_ops):
     assert r.passed and r.residual < 1e-8
 
 
+def test_casimir_quartic_budget_fallback(unit_ops):
+    """The applied path, once the fallback from an exact attempt, is now
+    the only C4 path: the row reports exactly what c4_applied_residual
+    finds, and tol decides the verdict."""
+    worst = float(c4_applied_residual(unit_ops))
+    r = casimir_check(unit_ops, "C4")
+    assert r.mode == "applied"
+    assert r.residual == worst < 1e-8
+    assert not casimir_check(unit_ops, "C4", tol=worst / 2).passed
+
+
 CHAINS = {
     "L01-pi2": lambda ops: (ops.L(0, 1), ops.pi[2]),
     "L13L32-minus2H": lambda ops: (ops.L(1, 3) @ ops.L(3, 2), ops.minus_2H),
