@@ -37,10 +37,10 @@ from .radial import (
     solve_modified,
     solve_oscillator,
 )
-from .report import MODE_EXACT, CheckReport, build_report, emit_report, exit_code
+from .report import build_report, emit_report, exit_code
 from .spectrum import energy_levels
-from .suites import RELATION_ANCHORS, run_suite
-from .symmetry import RELATION_NAMES, build_operators, verify_relation
+from .suites import relation_row, run_suite
+from .symmetry import RELATION_NAMES, build_operators
 from .transforms import MAP_DIMS, euler_defect, transform_map
 
 VERIFY_CHOICES = SUITES + ("all",)
@@ -207,11 +207,8 @@ def _cmd_verify(args) -> int:
             raise ConfigError(f"unknown relation {args.relation!r}; expected "
                               f"one of {', '.join(RELATION_NAMES)}")
         ops = build_operators(UnitParams(cfg.hbar, cfg.mu0, cfg.e2))
-        r = verify_relation(ops, args.relation)
-        row = CheckReport("algebra", r.name, RELATION_ANCHORS[r.name],
-                          MODE_EXACT, 0.0 if r.passed else None, r.passed,
-                          r.detail)
-        report = build_report([row], config_echo(cfg), __version__)
+        report = build_report([relation_row(ops, args.relation)],
+                              config_echo(cfg), __version__)
     else:
         report = run_suite(cfg)
     _write(emit_report(report, args.format), args.out)

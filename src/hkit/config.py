@@ -83,8 +83,8 @@ class SuiteConfig:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         if self.n_points < 64:
             raise ConfigError(f"n_points must be at least 64, got {self.n_points}")
-        if len(self.charge_nodes) != 4 or any(n < 2 for n in self.charge_nodes):
-            raise ConfigError(f"charge_nodes needs four counts >= 2, got {self.charge_nodes}")
+        if len(self.charge_nodes) != 4 or any(n < 1 for n in self.charge_nodes):
+            raise ConfigError(f"charge_nodes needs four counts >= 1, got {self.charge_nodes}")
         if not self.charge_radius > 0:
             raise ConfigError(f"charge_radius must be positive, got {self.charge_radius}")
         for name, value in self.tolerances.items():

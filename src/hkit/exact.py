@@ -5,14 +5,16 @@ axis factor, either (r + x0) or (r - x0).  A term is stored as
 
     coeff * x0^m0 ... x4^m4 * r^rp * (r + s*x0)^ap
 
-with an exact Gaussian-rational coeff, monomial exponents >= 0, rp in {0, 1}
-on the polynomial side (negative rp means a 1/r^|rp| factor) and ap any
-integer.  s = +1 or -1 is the chart sign; the two denominator monoids never
-mix inside a single expression.
+with an exact Gaussian-rational coeff, monomial exponents >= 0, and rp and
+ap any integers (a negative power is a denominator factor); every exponent
+must lie in [-EXP_LIMIT, EXP_LIMIT] when a kernel packs it.  s = +1 or -1 is
+the chart sign; the two denominator monoids never mix inside a single
+expression.
 
-Equality testing clears denominators and reduces modulo the radius relation.
-That is sound because r^2 - x.x is irreducible, so the quotient is an
-integral domain in which r and (r +- x0) are nonzero divisors.
+Terms are kept as the ring operations produce them: r^k stays r^k.  Only
+the zero test ``ScalarExpr.is_zero`` clears denominators and reduces modulo
+the radius relation.  That is sound because r^2 - x.x is irreducible, so the
+quotient is an integral domain in which r and (r +- x0) are nonzero divisors.
 
 The zero test and operator composition work on Gaussian-integer numerators
 over one common denominator, with every term key packed into one int (see
@@ -22,6 +24,7 @@ over one common denominator, with every term key packed into one int (see
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, gcd, isqrt, lcm
 from typing import Iterable, Iterator
 
@@ -240,63 +243,6 @@ def _mono_add(m1: Mono, m2: Mono) -> Mono:
             m1[3] + m2[3], m1[4] + m2[4])
 
 
-def _canonicalize(terms: dict[TermKey, GaussRat]) -> dict[TermKey, GaussRat]:
-    """Reduce numerator r-degree to {0,1}, re-lump x.x multiples, drop zeros."""
-    stack = [k for k in terms if k[1] >= 2]
-    while stack:
-        k = stack.pop()
-        c = terms.pop(k, None)
-        if not c:
-            continue
-        m, rp, ap = k
-        for i in range(5):
-            m2 = list(m)
-            m2[i] += 2
-            nk = ((m2[0], m2[1], m2[2], m2[3], m2[4]), rp - 2, ap)
-            prev = terms.get(nk)
-            nc = c if prev is None else prev + c
-            if nc:
-                terms[nk] = nc
-                if nk[1] >= 2:
-                    stack.append(nk)
-            elif prev is not None:
-                del terms[nk]
-    for k in [k for k, c in terms.items() if not c]:
-        del terms[k]
-    # Opportunistic inverse reduction: equal-coefficient sums
-    # sum_i c x^(m+2e_i) r^rp collapse back to c x^m r^(rp+2) when rp <= -1.
-    # Each group is found from its x0^2 member, so without a key of that
-    # shape there is nothing to collapse.
-    changed = any(rp <= -1 and m[0] >= 2 for m, rp, _ in terms)
-    while changed:
-        changed = False
-        for key in list(terms.keys()):
-            m, rp, ap = key
-            if rp > -1 or m[0] < 2:
-                continue
-            base = (m[0] - 2, m[1], m[2], m[3], m[4])
-            sibs = []
-            for i in range(5):
-                mb = list(base)
-                mb[i] += 2
-                sibs.append(((mb[0], mb[1], mb[2], mb[3], mb[4]), rp, ap))
-            c0 = terms.get(sibs[0])
-            if c0 is None or any(terms.get(s) != c0 for s in sibs[1:]):
-                continue
-            for s in sibs:
-                del terms[s]
-            nk = (base, rp + 2, ap)
-            prev = terms.get(nk)
-            nc = c0 if prev is None else prev + c0
-            if nc:
-                terms[nk] = nc
-            elif prev is not None:
-                del terms[nk]
-            changed = True
-            break
-    return terms
-
-
 # ----- packed term keys -----------------------------------------------------
 #
 # pack_key maps (m0..m4, rp, ap) to sum_j f_j * 2^(8j), one signed 8-bit
@@ -361,17 +307,16 @@ _Z_R2_TO_X2 = tuple((2 << (10 * i)) - _Z_R2 for i in range(5))
 class ScalarExpr:
     """Immutable element of the localized radius ring on one chart.
 
-    The constructor takes ownership of ``terms``: unless ``_canonical`` says
-    it is canonical already, it is reduced in place and kept, so callers
-    pass a dict built for this expression and do not touch it afterwards.
+    The constructor takes ownership of ``terms`` and stores them as given,
+    so callers pass a dict built for this expression, without zero
+    coefficients, and do not touch it afterwards.  No relation is applied:
+    one value may be stored as different term sets, and only ``is_zero``
+    (hence ``equals``) decides equality in the ring.
     """
 
     __slots__ = ("_t", "chart", "_hash", "_dcache", "_iv")
 
-    def __init__(self, terms: dict[TermKey, GaussRat], chart: int = CHART_NONE,
-                 _canonical: bool = False):
-        if not _canonical:
-            terms = _canonicalize(terms)
+    def __init__(self, terms: dict[TermKey, GaussRat], chart: int = CHART_NONE):
         if not any(k[2] for k in terms):
             chart = CHART_NONE
         elif chart == CHART_NONE:
@@ -393,18 +338,17 @@ class ScalarExpr:
         c = GaussRat.coerce(c)
         if not c:
             return _SE_ZERO
-        return ScalarExpr({(_ZERO_MONO, 0, 0): c}, CHART_NONE, _canonical=True)
+        return ScalarExpr({(_ZERO_MONO, 0, 0): c}, CHART_NONE)
 
     @staticmethod
     def coord(i: int) -> "ScalarExpr":
         mono = [0] * 5
         mono[i] = 1
-        return ScalarExpr({(tuple(mono), 0, 0): GR_ONE}, CHART_NONE,
-                          _canonical=True)
+        return ScalarExpr({(tuple(mono), 0, 0): GR_ONE}, CHART_NONE)
 
     @staticmethod
     def rpow(k: int) -> "ScalarExpr":
-        """r^k for any integer k (k >= 2 reduces through the radius relation)."""
+        """r^k as one term, for any integer k in [-EXP_LIMIT, EXP_LIMIT]."""
         return ScalarExpr({(_ZERO_MONO, k, 0): GR_ONE}, CHART_NONE)
 
     @staticmethod
@@ -412,7 +356,7 @@ class ScalarExpr:
         """(r + s*x0)^q on the requested chart, s = chart sign."""
         if q == 0:
             return ScalarExpr.const(1)
-        return ScalarExpr({(_ZERO_MONO, 0, q): GR_ONE}, chart, _canonical=True)
+        return ScalarExpr({(_ZERO_MONO, 0, q): GR_ONE}, chart)
 
     @staticmethod
     def term(coeff, mono: Iterable[int] = _ZERO_MONO, rp: int = 0, ap: int = 0,
@@ -474,8 +418,7 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr({k: -c for k, c in self._t.items()}, self.chart,
-                          _canonical=True)
+        return ScalarExpr({k: -c for k, c in self._t.items()}, self.chart)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -493,7 +436,7 @@ class ScalarExpr:
             if not c:
                 return _SE_ZERO
             return ScalarExpr({k: v * c for k, v in self._t.items()},
-                              self.chart, _canonical=True)
+                              self.chart)
         if not isinstance(other, ScalarExpr):
             return NotImplemented
         chart = _join_chart(self.chart, other.chart)
@@ -513,24 +456,6 @@ class ScalarExpr:
         return ScalarExpr(acc, chart)
 
     __rmul__ = __mul__
-
-    def mul_term(self, coeff, mono: Iterable[int] = _ZERO_MONO, rp: int = 0,
-                 ap: int = 0, chart: int = CHART_NONE) -> "ScalarExpr":
-        """Multiply by a single term without expanding r^2 in the factor.
-
-        Useful for clean products like r^2 * (x_j / r^3) -> x_j / r: the
-        reduction to canonical form still runs on the result, but the factor
-        itself is never turned into x.x first.
-        """
-        c = GaussRat.coerce(coeff)
-        if not c:
-            return _SE_ZERO
-        mono = tuple(mono)
-        newchart = _join_chart(self.chart, chart if ap != 0 else CHART_NONE)
-        acc = {}
-        for (m, r, a), v in self._t.items():
-            acc[(_mono_add(m, mono), r + rp, a + ap)] = v * c
-        return ScalarExpr(acc, newchart)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -614,9 +539,18 @@ class ScalarExpr:
         10-bit fields (an r^2 -> x.x step is one integer addition).  The
         monomials x^m r^(0 or 1) are a basis of the quotient, so the
         expression is zero exactly when every numerator left is zero.
+
+        Keys are rewritten in descending order from a max-heap.  rp is the
+        top field, so every key a rewrite produces is smaller than the key
+        it came from, and each key is rewritten once, after everything that
+        feeds it.
+
         Exponents must lie in [-EXP_LIMIT, EXP_LIMIT] (ExponentRange
-        otherwise); after the shift a key's fields sum to at most
-        5 * 2 * EXP_LIMIT + 4 * EXP_LIMIT = 882, so each fits in 10 bits.
+        otherwise), so after the shift every m_i, rp and axis power n lies
+        in [0, 2 * EXP_LIMIT].  The expansion moves j units from the r field
+        to x0 and a rewrite moves 2 units from r to one x_i, so neither
+        changes the sum of a key's fields, and no field ever exceeds that
+        sum's starting value: at most 7 * 2 * EXP_LIMIT = 882 < 1024.
         """
         terms = self._t
         if not terms:
@@ -648,14 +582,13 @@ class ScalarExpr:
                     e[1] += im * w
                 k += _Z_X0_NOT_R
         # r^2 -> x0^2 + ... + x4^2 on every key with rp >= 2 (rp is the top
-        # field, so that is a plain comparison)
-        stack = [k for k in poly if k >= _Z_R2]
-        while stack:
-            k = stack.pop()
-            e = poly.pop(k, None)
-            if e is None:
-                continue
-            re, im = e
+        # field, so that is a plain comparison), largest key first; the heap
+        # holds negated keys
+        heap = [-k for k in poly if k >= _Z_R2]
+        heapify(heap)
+        while heap:
+            k = -heappop(heap)
+            re, im = poly.pop(k)
             if not (re or im):
                 continue
             for u in _Z_R2_TO_X2:
@@ -664,7 +597,7 @@ class ScalarExpr:
                 if e is None:
                     poly[nk] = [re, im]
                     if nk >= _Z_R2:
-                        stack.append(nk)
+                        heappush(heap, -nk)
                 else:
                     e[0] += re
                     e[1] += im
@@ -765,7 +698,7 @@ class ScalarExpr:
         return " + ".join(parts)
 
 
-_SE_ZERO = ScalarExpr({}, CHART_NONE, _canonical=True)
+_SE_ZERO = ScalarExpr({}, CHART_NONE)
 
 
 X = tuple(ScalarExpr.coord(i) for i in range(5))

@@ -178,8 +178,8 @@ def potential_reproduction_check(chart: int = CHART_A) -> bool:
 def potential_orthogonality_check(chart: int = CHART_A) -> bool:
     """A^a . A^b = delta_ab (r - s x0) / (r^2 (r + s x0))."""
     s = 1 if chart == CHART_A else -1
-    want = (ScalarExpr.rpow(1) - ScalarExpr.coord(0) * s).mul_term(
-        1, rp=-2, ap=-1, chart=chart)
+    want = ((ScalarExpr.rpow(1) - ScalarExpr.coord(0) * s)
+            * ScalarExpr.term(1, rp=-2, ap=-1, chart=chart))
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             dot = ScalarExpr.zero()
@@ -237,12 +237,12 @@ def field_tensor(a: int, chart: int = CHART_A, method: str = "definition"):
             for j in range(i + 1, 5):
                 v = A[i] * X[j] - A[j] * X[i]
                 if j == 0:
-                    v = v + A[i].mul_term(s, rp=1)
+                    v = v + A[i] * ScalarExpr.term(s, rp=1)
                 if i == 0:
-                    v = v - A[j].mul_term(s, rp=1)
+                    v = v - A[j] * ScalarExpr.term(s, rp=1)
                 if tau[a][i][j]:
                     v = v - ScalarExpr.const(tau[a][i][j] * GaussRat(0, 2))
-                v = v.mul_term(1, rp=-2)
+                v = v * ScalarExpr.rpow(-2)
                 F[i][j] = v
                 F[j][i] = -v
         return tuple(tuple(row) for row in F)
@@ -391,7 +391,7 @@ def ff_intermediate_check(chart: int = CHART_A) -> bool:
                     for c in (1, 2, 3):
                         e = eps3(a, b, c)
                         if e:
-                            want = want + F[c][i][k].mul_term(e, rp=-2)
+                            want = want + F[c][i][k] * ScalarExpr.term(e, rp=-2)
                     if not acc.equals(want):
                         return False
     return True

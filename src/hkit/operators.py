@@ -17,9 +17,9 @@ key (m0..m4, rp, ap) packed into one int by ``exact.pack_key``; multiplying
 two terms is one integer addition of keys and one Gaussian-integer product.
 Every output (word, derivative) key accumulates plain integer pairs over
 the denominator D_self * D_other of the two operands, and a GaussRat is
-built once per raw output term, just before that key is reduced to
-canonical form.  No intermediate ScalarExpr or GaussRat is formed per term
-product.  Exponents outside [-EXP_LIMIT, EXP_LIMIT] raise ExponentRange.
+built once per nonzero output term.  No intermediate ScalarExpr or GaussRat
+is formed per term product, and no relation is applied: r^2 stays r^2 until
+a zero test.  Exponents outside [-EXP_LIMIT, EXP_LIMIT] raise ExponentRange.
 """
 
 from __future__ import annotations
@@ -283,9 +283,9 @@ class OperatorExpr:
         # key is one addition, the coefficient a product of two Gaussian
         # integers.  c1's view is first scaled by the binomial multiplicity,
         # the word coefficient and the rescale of both view denominators to
-        # D, unless that factor is 1.  Zeros and r^2 are left for the single
-        # canonicalization of each key when the result is built, so every
-        # key keeps the term order of a plain term-by-term sum.
+        # D, unless that factor is 1.  Zero sums are dropped only when the
+        # result is built, so every key keeps the term order of a plain
+        # term-by-term sum.
         d_self = lcm(*(c.int_view()[0] for c in self._t.values()))
         d_other = lcm(*(c.int_view()[0] for c in other._t.values()))
         raw: dict[tuple[Word, Deriv], dict[int, list[int]]] = {}
@@ -340,7 +340,8 @@ class OperatorExpr:
         make = GaussRat._make
         return OperatorExpr({
             key: ScalarExpr({unpack_key(tk): make(re, im, den)
-                             for tk, (re, im) in acc.items()}, charts[key])
+                             for tk, (re, im) in acc.items() if re or im},
+                            charts[key])
             for key, acc in raw.items()})
 
     def __repr__(self):
@@ -381,7 +382,7 @@ class IsoFun:
 def apply(op: OperatorExpr, f: IsoFun) -> IsoFun:
     """Apply an operator to a two-component function, spin-1/2 generators.
 
-    Accumulates raw term dicts and canonicalizes once at the end; building
+    Accumulates raw term dicts and builds each component once; building
     the image through repeated ScalarExpr addition would copy the growing
     sum once per operator term.
     """

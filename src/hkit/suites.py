@@ -69,6 +69,7 @@ from .spectrum import (
 )
 from .symmetry import (
     RELATION_NAMES,
+    SymmetryOperators,
     build_operators,
     casimir_check,
     verify_relation,
@@ -263,15 +264,16 @@ RELATION_ANCHORS = {
 }
 
 
+def relation_row(ops: SymmetryOperators, name: str) -> CheckReport:
+    """The algebra row of one bracket relation, checked on ``ops``."""
+    r = verify_relation(ops, name)
+    return CheckReport("algebra", name, RELATION_ANCHORS[name], MODE_EXACT,
+                       0.0 if r.passed else None, r.passed, r.detail)
+
+
 def run_algebra(cfg: SuiteConfig) -> list[CheckReport]:
     ops = build_operators(UnitParams(cfg.hbar, cfg.mu0, cfg.e2))
-    rows = []
-    for name in RELATION_NAMES:
-        r = verify_relation(ops, name)
-        rows.append(CheckReport("algebra", name, RELATION_ANCHORS[name],
-                                MODE_EXACT, 0.0 if r.passed else None,
-                                r.passed, r.detail))
-    return rows
+    return [relation_row(ops, name) for name in RELATION_NAMES]
 
 
 # ----- casimir --------------------------------------------------------------

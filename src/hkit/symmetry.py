@@ -28,11 +28,6 @@ from .jets import PointJet, _JetSpace, shift_table
 from .operators import IsoFun, OperatorExpr, apply, word_matrix
 from .params import UnitParams
 
-RELATION_NAMES = (
-    "pi-x", "pi-pi", "L-x", "L-pi", "L-L",
-    "H-L", "H-M", "L-M", "M-M", "SO51-cleared",
-)
-
 _ZD = (0, 0, 0, 0, 0)
 _I = GaussRat(0, 1)
 
@@ -93,7 +88,7 @@ class SymmetryOperators:
                     fij = F[a][i][j]
                     if not fij.is_structural_zero():
                         op = op - OperatorExpr(
-                            {(_iso_word(a), _ZD): fij.mul_term(1, rp=2)})
+                            {(_iso_word(a), _ZD): fij * ScalarExpr.rpow(2)})
                 self._L[(i, j)] = op
 
         # H = pi.pi / (2 mu0) + (hbar^2 / (2 mu0 r^2)) T^2 - e2 / r
@@ -295,6 +290,7 @@ _CHECKS = {
     "M-M": _check_M_M,
     "SO51-cleared": _check_M_M,
 }
+RELATION_NAMES = tuple(_CHECKS)
 
 
 def verify_relation(ops: SymmetryOperators, name: str) -> RelationResult:

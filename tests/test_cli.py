@@ -186,6 +186,19 @@ def test_verify_charge_flags(capsys):
     assert code == 0
 
 
+def test_verify_charge_below_exact_nodes_reports_truncation(capsys):
+    """One theta node is below EXACT_NODES: the run completes, and the
+    node-doubling row carries a nonzero truncation estimate and fails."""
+    code, out, _ = run(capsys, "verify", "charge", "--nodes", "1,16,8,8",
+                       "--format", "json")
+    doc = json.loads(out)
+    assert doc["config"]["charge_nodes"] == [1, 16, 8, 8]
+    rows = {r["relation"]: r for r in doc["rows"]}
+    assert rows["node-doubling"]["residual"] > 0
+    assert not rows["node-doubling"]["passed"]
+    assert code == 1
+
+
 def test_report_spectrum_deterministic(capsys):
     strip = lambda text: [l for l in text.splitlines()
                           if '"timestamp"' not in l]

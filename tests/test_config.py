@@ -130,7 +130,7 @@ def test_unknown_override_key():
     {"n_points": 32},
     {"mu0": Fraction(0)},
     {"charge_nodes": (16, 16, 8)},
-    {"charge_nodes": (16, 16, 8, 1)},
+    {"charge_nodes": (16, 16, 8, 0)},
     {"charge_radius": 0.0},
     {"tolerances": {"charge": 1e-10, "mystery": 1e-3}},
     {"tolerances": {"charge": 2.0}},

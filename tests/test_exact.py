@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from itertools import product as iterproduct
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hkit.errors import ChartMismatch, ExponentRange, SingularPoint
 from hkit.exact import (
     CHART_A,
     CHART_B,
+    EXP_LIMIT,
     GR_I,
     GR_ONE,
     GR_ZERO,
@@ -237,6 +239,55 @@ def test_is_zero_rejects_exponents_outside_the_packed_range(mono, rp):
     for e in (big, big + X[1], big - big + X[0] * ScalarExpr.term(1, mono, rp=rp)):
         with pytest.raises(ExponentRange, match="outside"):
             e.is_zero()
+
+
+def _dot_x():
+    out = ScalarExpr.zero()
+    for xi in X:
+        out = out + xi * xi
+    return out
+
+
+def test_rpow_is_stored_as_one_term():
+    """r^k is kept as written, up to the largest exponent a kernel accepts."""
+    for k in (2, 31, EXP_LIMIT):
+        e = ScalarExpr.term(1, rp=k)
+        assert [key for key, _ in e.items()] == [((0, 0, 0, 0, 0), k, 0)]
+        assert ScalarExpr.rpow(k) == e
+    assert len(R * R) == 1
+
+
+def _dot_x_pow(n):
+    """(x.x)^n by the multinomial theorem, built term by term."""
+    terms = {}
+    for k in iterproduct(range(n + 1), repeat=4):
+        if sum(k) <= n:
+            ks = (n - sum(k),) + k
+            c = factorial(n)
+            for ki in ks:
+                c //= factorial(ki)
+            terms[(tuple(2 * ki for ki in ks), 0, 0)] = GaussRat(c)
+    return ScalarExpr(terms)
+
+
+def test_is_zero_reduces_high_r_powers():
+    assert (ScalarExpr.rpow(40) - _dot_x_pow(20)).is_zero()
+    assert not (ScalarExpr.rpow(40) - _dot_x_pow(20) * 2).is_zero()
+    assert not (ScalarExpr.term(3, rp=31) - ScalarExpr.rpow(31)).is_zero()
+    assert (ScalarExpr.term(3, rp=31) - ScalarExpr.rpow(31)).equals(
+        ScalarExpr.rpow(29) * _dot_x() * 2)
+
+
+def test_is_zero_at_the_r_exponent_limit():
+    """x0^60 x4^60 r^63 (r + x0)^-63 = x0^60 x4^60 r^61 (x.x) (r + x0)^-63:
+    the r field reaches 2 EXP_LIMIT before the shift of the axis power."""
+    lim = EXP_LIMIT
+    mono = (60, 0, 0, 0, 60)
+    lhs = ScalarExpr.term(1, mono, rp=lim, ap=-lim, chart=CHART_A)
+    rhs = ScalarExpr.term(1, mono, rp=lim - 2, ap=-lim, chart=CHART_A) * _dot_x()
+    assert lhs.equals(rhs)
+    assert not lhs.equals(
+        rhs + ScalarExpr.term(1, mono, ap=-lim, chart=CHART_A))
 
 
 # ----- evaluation ------------------------------------------------------------
