@@ -359,18 +359,6 @@ class IsoFun:
     def __init__(self, up: ScalarExpr, down: ScalarExpr):
         self.c = (up, down)
 
-    def __add__(self, other: "IsoFun") -> "IsoFun":
-        return IsoFun(self.c[0] + other.c[0], self.c[1] + other.c[1])
-
-    def __sub__(self, other: "IsoFun") -> "IsoFun":
-        return IsoFun(self.c[0] - other.c[0], self.c[1] - other.c[1])
-
-    def scale(self, g) -> "IsoFun":
-        return IsoFun(self.c[0] * g, self.c[1] * g)
-
-    def is_zero(self) -> bool:
-        return self.c[0].is_zero() and self.c[1].is_zero()
-
     def evaluate(self, p: Point5) -> tuple[complex, complex]:
         out = []
         for comp in self.c:

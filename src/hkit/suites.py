@@ -235,7 +235,7 @@ def run_charge(cfg: SuiteConfig) -> list[CheckReport]:
         _numeric("charge", "components", "q^a = 1/3 for each generator",
                  max(abs(c - 1.0 / 3.0) for c in res.components), tol),
         _numeric("charge", "node-doubling",
-                 "doubled node counts leave q unchanged",
+                 "raising node counts to the exact counts leaves q unchanged",
                  res.estimated_error, tol2,
                  f"truncation estimate, exact at >= "
                  f"({','.join(map(str, EXACT_NODES))}) nodes"),
@@ -290,13 +290,9 @@ def run_casimir(cfg: SuiteConfig) -> list[CheckReport]:
     rows = []
     for which in ("C2", "C3", "C4"):
         r = casimir_check(ops, which, tol=cfg.tolerances["casimir_numeric"])
-        # C4 is checked by applied evaluation; report rows only distinguish
-        # exact from numeric.
-        mode = MODE_EXACT if r.mode == "exact" else MODE_NUMERIC
-        detail = r.detail if r.mode == "exact" else f"{r.detail} ({r.mode})"
         rows.append(CheckReport("casimir", f"{which.lower()}-cleared",
-                                _CASIMIR_ANCHORS[which], mode, r.residual,
-                                r.passed, detail))
+                                _CASIMIR_ANCHORS[which], r.mode, r.residual,
+                                r.passed, r.detail))
     return rows
 
 

@@ -7,22 +7,25 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from hkit.exact import CHART_A, CHART_B
-from hkit.operators import OperatorExpr, apply
+from hkit import symmetry
+from hkit.exact import CHART_A, CHART_B, ScalarExpr, X
+from hkit.jets import PointJet
+from hkit.operators import IsoFun, OperatorExpr, apply
 from hkit.params import UnitParams
 from hkit.symmetry import (
     RELATION_NAMES,
     _c3_pairings,
-    _c4_lhs_applied,
-    _c4_rhs_applied,
+    _c4_chains,
+    _c4_values,
     _JetApplier,
     _perm_sign,
     _so51_generator,
     build_operators,
     c4_applied_residual,
-    c4_test_function,
+    c4_test_jets,
     c4_test_points,
     casimir_c3_residual,
     casimir_check,
@@ -105,22 +108,21 @@ def test_c3_residual_detects_a_wrong_constant(unit_ops):
     assert not (resid + unit_ops.T2 * (p.mu0 * p.e2 / p.hbar)).is_zero()
 
 
-def test_casimir_quartic(unit_ops):
-    """C4 is checked by applied evaluation and passes at 1e-8."""
-    r = casimir_check(unit_ops, "C4")
-    assert r.mode == "applied"
-    assert r.passed and r.residual < 1e-8
+@pytest.fixture(scope="module")
+def unit_c4(unit_ops):
+    """The C4 residual of the unit operators, computed once."""
+    return c4_applied_residual(unit_ops)
 
 
-def test_casimir_quartic_budget_fallback(unit_ops):
-    """The applied path, once the fallback from an exact attempt, is now
-    the only C4 path: the row reports exactly what c4_applied_residual
-    finds, and tol decides the verdict."""
-    worst = float(c4_applied_residual(unit_ops))
+def test_casimir_quartic(unit_ops, unit_c4, monkeypatch):
+    """C4 is checked numerically and passes at 1e-8: the row reports
+    exactly what c4_applied_residual finds, and tol decides the verdict."""
     r = casimir_check(unit_ops, "C4")
-    assert r.mode == "applied"
-    assert r.residual == worst < 1e-8
-    assert not casimir_check(unit_ops, "C4", tol=worst / 2).passed
+    assert r.mode == "numeric"
+    assert r.detail == "quartic contraction on seeded functions (applied)"
+    assert r.passed and r.residual == unit_c4 < 1e-8
+    monkeypatch.setattr(symmetry, "c4_applied_residual", lambda ops: unit_c4)
+    assert not casimir_check(unit_ops, "C4", tol=unit_c4 / 2).passed
 
 
 CHAINS = {
@@ -137,32 +139,54 @@ def test_jet_chain_matches_symbolic_application(unit_ops, chart, name):
     as the symbolic engine does, up to rounding, on either chart."""
     ops = unit_ops if chart == CHART_A else build_operators(chart=chart)
     outer, inner = CHAINS[name](ops)
-    f = c4_test_function()
+    f = IsoFun(X[1] * X[3] * X[4] + X[0] * X[0] * Fraction(1, 2)
+               - X[2] * Fraction(2, 3),
+               X[2] * X[4] - X[0] * X[1] * X[1]
+               + ScalarExpr.const(Fraction(1, 3)))
     p = c4_test_points()[0]
+    pj = PointJet(p, 8)
+    fjet = np.array([pj.expr(f.c[0]), pj.expr(f.c[1])])
     want = apply(outer, apply(inner, f)).evaluate(p)
-    got = _JetApplier(p).chain(outer, inner, f)
+    got = tuple(_JetApplier(p).chain(outer, inner, fjet))
     assert got == pytest.approx(want, rel=1e-9)
 
 
-def _applied_c4_worst(ops, rhs):
-    f = c4_test_function()
+def _c4_worst(ops, chains):
     points = c4_test_points()
-    lhs = _c4_lhs_applied(ops, f, points)
-    worst = 0.0
-    for p, (lu, ld) in zip(points, lhs):
-        ru, rd = rhs.evaluate(p)
-        worst = max(worst, abs(lu - ru), abs(ld - rd))
-    return worst
+    vals = _c4_values(ops, chains, points, c4_test_jets(len(points)))
+    return float(np.abs(vals).max())
 
 
-def test_applied_c4_detects_a_wrong_constant(unit_ops):
-    """The applied C4 check is not vacuous: turning the -12 T^2 (-2H)^2
-    term of the right side into -11 moves it far outside the tolerance."""
-    f = c4_test_function()
-    f2 = apply(unit_ops.minus_2H, apply(unit_ops.minus_2H, f))
-    rhs = _c4_rhs_applied(unit_ops, f)
-    assert _applied_c4_worst(unit_ops, rhs) < 1e-10
-    assert _applied_c4_worst(unit_ops, rhs + apply(unit_ops.T2, f2)) > 1e-6
+def test_applied_c4_detects_a_wrong_constant(unit_ops, unit_c4):
+    """The C4 check is not vacuous: turning the -12 T^2 (-2H)^2 term of
+    the right side into -11 moves it far outside the tolerance.  unit_c4
+    is the sum of the unchanged chain list at the same points and jets."""
+    chains = _c4_chains(unit_ops)
+    (at,) = [n for n, c in enumerate(chains) if c[0] == 12]
+    assert chains[at][1] is unit_ops.T2 and chains[at][3] == 2
+    chains[at] = (11.0, *chains[at][1:])
+    assert unit_c4 < 1e-10
+    assert _c4_worst(unit_ops, chains) > 1e-6
+
+
+def _d(*axes):
+    op = OperatorExpr.identity()
+    for i in axes:
+        op = op @ OperatorExpr.deriv(i)
+    return op
+
+
+@pytest.mark.parametrize("extra", [
+    lambda ops: (1000.0, ops.T2 @ OperatorExpr.from_scalar(
+        ScalarExpr.term(1, (2, 0, 0, 0, 0), rp=-1)) @ _d(0, 1, 2),
+        OperatorExpr.identity(), 0),
+    lambda ops: (1e-3, _d(0, 0, 1, 1), _d(2, 2, 3, 3), 0),
+], ids=["order-3", "order-8"])
+def test_applied_c4_sees_every_derivative_order(unit_ops, extra):
+    """f is seeded to full order 8, so a stray term of order 3, which a
+    quadratic f would annihilate, or of order 8, the order of the left
+    side, shows in the residual."""
+    assert _c4_worst(unit_ops, _c4_chains(unit_ops) + [extra(unit_ops)]) > 1e-6
 
 
 def test_applied_c4_at_nonunit_units():
