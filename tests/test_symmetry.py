@@ -114,14 +114,22 @@ def unit_c4(unit_ops):
     return c4_applied_residual(unit_ops)
 
 
-def test_casimir_quartic(unit_ops, unit_c4, monkeypatch):
+def test_casimir_quartic(unit_ops, unit_c4):
     """C4 is checked numerically and passes at 1e-8: the row reports
-    exactly what c4_applied_residual finds, and tol decides the verdict."""
+    exactly what c4_applied_residual finds."""
     r = casimir_check(unit_ops, "C4")
     assert r.mode == "numeric"
     assert r.detail == "quartic contraction on seeded functions (applied)"
     assert r.passed and r.residual == unit_c4 < 1e-8
+
+
+def test_casimir_quartic_budget_fallback(unit_ops, unit_c4, monkeypatch):
+    """The applied path, once the fallback from an exact attempt, is the
+    only C4 path, and tol decides its verdict.  c4_applied_residual is
+    stubbed with the shared unit_c4, so C4 is not evaluated again."""
     monkeypatch.setattr(symmetry, "c4_applied_residual", lambda ops: unit_c4)
+    r = casimir_check(unit_ops, "C4")
+    assert r.mode == "numeric" and r.passed and r.residual == unit_c4
     assert not casimir_check(unit_ops, "C4", tol=unit_c4 / 2).passed
 
 
