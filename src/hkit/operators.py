@@ -15,11 +15,18 @@ Composition runs on integers.  Each coefficient's ``ScalarExpr.int_view``
 pairs (re, im) over the coefficient's common denominator, with each term
 key (m0..m4, rp, ap) packed into one int by ``exact.pack_key``; multiplying
 two terms is one integer addition of keys and one Gaussian-integer product.
-Every output (word, derivative) key accumulates plain integer pairs over
-the denominator D_self * D_other of the two operands, and a GaussRat is
-built once per nonzero output term.  No intermediate ScalarExpr or GaussRat
-is formed per term product, and no relation is applied: r^2 stays r^2 until
-a zero test.  Exponents outside [-EXP_LIMIT, EXP_LIMIT] raise ExponentRange.
+Every output (word, derivative) key accumulates plain integer pairs, and
+a GaussRat is built once per nonzero output term.  No intermediate
+ScalarExpr or GaussRat is formed per term product, and no relation is
+applied: r^2 stays r^2 until a zero test.  Exponents outside
+[-EXP_LIMIT, EXP_LIMIT] raise ExponentRange.
+
+Sums of products are fused: ``OperatorExpr.combine`` takes parts
+coef * (A @ B) and coef * A and accumulates all of them into one raw table
+per output key, over one denominator shared by every part, so each output
+coefficient is built once for the whole sum.  No product is materialized
+on the way and no two operators are added.  ``A @ B`` is the one-part
+combine.
 """
 
 from __future__ import annotations
@@ -276,67 +283,99 @@ class OperatorExpr:
     def __matmul__(self, other: "OperatorExpr") -> "OperatorExpr":
         if not isinstance(other, OperatorExpr):
             return NotImplemented
-        # Each output (word, deriv) key owns one raw dict from packed term
-        # key to [re, im], a Gaussian-integer numerator over the shared
-        # denominator D = D_self * D_other.  A Leibniz term c1 * d^gamma c2
-        # is multiplied term by term from the operands' integer views: the
-        # key is one addition, the coefficient a product of two Gaussian
-        # integers.  c1's view is first scaled by the binomial multiplicity,
-        # the word coefficient and the rescale of both view denominators to
-        # D, unless that factor is 1.  Zero sums are dropped only when the
-        # result is built, so every key keeps the term order of a plain
-        # term-by-term sum.
-        d_self = lcm(*(c.int_view()[0] for c in self._t.values()))
-        d_other = lcm(*(c.int_view()[0] for c in other._t.values()))
+        return OperatorExpr.combine([(1, self, other)])
+
+    @staticmethod
+    def combine(parts) -> "OperatorExpr":
+        """The sum over ``parts`` (coef, A, B) of coef * (A @ B), or of
+        coef * A where B is None; coef is an int, Fraction or GaussRat.
+        ``parts`` is any iterable, consumed once, so a generator keeps only
+        the part in hand alive.
+
+        Every part accumulates into one raw dict per output (word, deriv)
+        key, from packed term key to [re, im], a Gaussian-integer numerator
+        over one denominator D: the lcm over the parts so far of den(coef)
+        * D_A * D_B, with D_A and D_B the lcms of the operands' view
+        denominators (a lone A is A @ identity, D_B = 1).  A part that D
+        does not cover first rescales the table to the larger lcm.
+
+        A Leibniz term c1 * d^gamma c2 is multiplied term by term from the
+        operands' integer views: the key is one addition, the coefficient a
+        product of two Gaussian integers.  c1's view is first scaled by the
+        part's share of D times coef's numerator, the binomial multiplicity,
+        the word coefficient and the rescale of both view denominators,
+        unless that factor is 1.  Zero sums are dropped only when the
+        result is built, so every key keeps the term order of a plain
+        term-by-term sum, and a key whose terms all cancel is dropped with
+        them.
+        """
+        den = 1
         raw: dict[tuple[Word, Deriv], dict[int, list[int]]] = {}
         charts: dict[tuple[Word, Deriv], int] = {}
-        for (w1, d1), c1 in self._t.items():
-            den1, v1 = c1.int_view()
-            f1 = d_self // den1
-            chart1 = c1.chart
-            leibniz = _leibniz(d1)
-            for (w2, d2), c2 in other._t.items():
-                words = word_mul(w1, w2)
-                for gamma, mult, rest in leibniz:
-                    dc2 = c2.multi_diff(gamma)
-                    if not dc2._t:
-                        continue
-                    chart = (chart1 if chart1 == dc2.chart
-                             else _join_chart(chart1, dc2.chart))
-                    den2, v2 = dc2.int_view()
-                    # a derivative's coefficients are integer multiples and
-                    # sums of c2's, so its denominator divides d_other
-                    f = d_other // den2 * f1 * mult
-                    dres = (rest[0] + d2[0], rest[1] + d2[1], rest[2] + d2[2],
-                            rest[3] + d2[3], rest[4] + d2[4])
-                    for w, wc in words.items():
-                        if wc.d != 1:
-                            raise ArithmeticError(
-                                f"word coefficient {wc!r} is not a Gaussian "
-                                "integer")
-                        key = (w, dres)
-                        acc = raw.get(key)
-                        if acc is None:
-                            acc = raw[key] = {}
-                            charts[key] = chart
-                        elif charts[key] != chart:
-                            charts[key] = _join_chart(charts[key], chart)
-                        sa, sb = wc.a * f, wc.b * f
-                        u1 = v1 if sa == 1 and sb == 0 else [
-                            (p1, a1 * sa - b1 * sb, a1 * sb + b1 * sa)
-                            for p1, a1, b1 in v1]
-                        get = acc.get
-                        for p1, a1, b1 in u1:
-                            for p2, a2, b2 in v2:
-                                tk = p1 + p2
-                                e = get(tk)
-                                if e is None:
-                                    acc[tk] = [a1 * a2 - b1 * b2,
-                                               a1 * b2 + b1 * a2]
-                                else:
-                                    e[0] += a1 * a2 - b1 * b2
-                                    e[1] += a1 * b2 + b1 * a2
-        den = d_self * d_other
+        for coef, a, b in parts:
+            c = GaussRat.coerce(coef)
+            b = _IDENTITY if b is None else b
+            if not c or not a._t or not b._t:
+                continue
+            d_a = lcm(*(v.int_view()[0] for v in a._t.values()))
+            d_b = lcm(*(v.int_view()[0] for v in b._t.values()))
+            d_part = c.d * d_a * d_b
+            if den % d_part:
+                grow = lcm(den, d_part) // den
+                den *= grow
+                for acc in raw.values():
+                    for e in acc.values():
+                        e[0] *= grow
+                        e[1] *= grow
+            ca, cb = c.a * (den // d_part), c.b * (den // d_part)
+            for (w1, d1), c1 in a._t.items():
+                den1, v1 = c1.int_view()
+                f1 = d_a // den1
+                chart1 = c1.chart
+                leibniz = _leibniz(d1)
+                for (w2, d2), c2 in b._t.items():
+                    words = word_mul(w1, w2)
+                    for gamma, mult, rest in leibniz:
+                        dc2 = c2.multi_diff(gamma)
+                        if not dc2._t:
+                            continue
+                        chart = (chart1 if chart1 == dc2.chart
+                                 else _join_chart(chart1, dc2.chart))
+                        den2, v2 = dc2.int_view()
+                        # a derivative's coefficients are integer multiples
+                        # and sums of c2's, so its denominator divides d_b
+                        f = d_b // den2 * f1 * mult
+                        dres = (rest[0] + d2[0], rest[1] + d2[1],
+                                rest[2] + d2[2], rest[3] + d2[3],
+                                rest[4] + d2[4])
+                        for w, wc in words.items():
+                            if wc.d != 1:
+                                raise ArithmeticError(
+                                    f"word coefficient {wc!r} is not a "
+                                    "Gaussian integer")
+                            key = (w, dres)
+                            acc = raw.get(key)
+                            if acc is None:
+                                acc = raw[key] = {}
+                                charts[key] = chart
+                            elif charts[key] != chart:
+                                charts[key] = _join_chart(charts[key], chart)
+                            sa = (wc.a * ca - wc.b * cb) * f
+                            sb = (wc.a * cb + wc.b * ca) * f
+                            u1 = v1 if sa == 1 and sb == 0 else [
+                                (p1, a1 * sa - b1 * sb, a1 * sb + b1 * sa)
+                                for p1, a1, b1 in v1]
+                            get = acc.get
+                            for p1, a1, b1 in u1:
+                                for p2, a2, b2 in v2:
+                                    tk = p1 + p2
+                                    e = get(tk)
+                                    if e is None:
+                                        acc[tk] = [a1 * a2 - b1 * b2,
+                                                   a1 * b2 + b1 * a2]
+                                    else:
+                                        e[0] += a1 * a2 - b1 * b2
+                                        e[1] += a1 * b2 + b1 * a2
         make = GaussRat._make
         return OperatorExpr({
             key: ScalarExpr({unpack_key(tk): make(re, im, den)
@@ -347,6 +386,8 @@ class OperatorExpr:
     def __repr__(self):
         return f"OperatorExpr({len(self._t)} terms, {self.term_count()} monomials)"
 
+
+_IDENTITY = OperatorExpr.identity()
 
 # ----- spin-1/2 function application ----------------------------------------
 

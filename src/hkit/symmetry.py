@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -60,9 +60,9 @@ class SymmetryOperators:
         self.chart = chart
         hb, mu0, e2 = self.params.hbar, self.params.mu0, self.params.e2
 
+        combine = OperatorExpr.combine
         self.T = {a: OperatorExpr.iso(a) for a in (1, 2, 3)}
-        self.T2 = (self.T[1] @ self.T[1] + self.T[2] @ self.T[2]
-                   + self.T[3] @ self.T[3])
+        self.T2 = combine([(1, t, t) for t in self.T.values()])
 
         A = {a: vector_potential(a, chart) for a in (1, 2, 3)}
         F = {a: field_tensor(a, chart) for a in (1, 2, 3)}
@@ -77,44 +77,42 @@ class SymmetryOperators:
                     terms[(_iso_word(a), _ZD)] = A[a][i] * (-hb)
             self.pi.append(OperatorExpr(terms))
 
-        # L_ij = (x_i pi_j - x_j pi_i) / hbar - r^2 F^a_ij T_a
+        # L_ij = (x_i pi_j - x_j pi_i) / hbar - r^2 F^a_ij T_a, and
+        # L_ji = -L_ij
         self._L = {}
         for i in range(5):
             for j in range(i + 1, 5):
-                op = (OperatorExpr.from_scalar(X[i]) @ self.pi[j]
-                      - OperatorExpr.from_scalar(X[j]) @ self.pi[i]) \
-                    * (Fraction(1) / hb)
-                for a in (1, 2, 3):
-                    fij = F[a][i][j]
-                    if not fij.is_structural_zero():
-                        op = op - OperatorExpr(
-                            {(_iso_word(a), _ZD): fij * ScalarExpr.rpow(2)})
+                r2f = OperatorExpr({(_iso_word(a), _ZD):
+                                    F[a][i][j] * ScalarExpr.rpow(2)
+                                    for a in (1, 2, 3)})
+                op = combine([(1 / hb, self.x_op(i), self.pi[j]),
+                              (-1 / hb, self.x_op(j), self.pi[i]),
+                              (-1, r2f, None)])
                 self._L[(i, j)] = op
+                self._L[(j, i)] = -op
 
         # H = pi.pi / (2 mu0) + (hbar^2 / (2 mu0 r^2)) T^2 - e2 / r
-        ke = OperatorExpr.zero()
-        for i in range(5):
-            ke = ke + self.pi[i] @ self.pi[i]
-        self.H = (ke * (Fraction(1, 2) / mu0)
-                  + (self.T2 @ OperatorExpr.from_scalar(ScalarExpr.rpow(-2)))
-                  * (hb * hb * Fraction(1, 2) / mu0)
-                  - OperatorExpr.from_scalar(ScalarExpr.rpow(-1)) * e2)
+        half = Fraction(1, 2) / mu0
+        self.H = combine(
+            [(half, p, p) for p in self.pi]
+            + [(hb * hb * half, self.T2,
+                OperatorExpr.from_scalar(ScalarExpr.rpow(-2))),
+               (-e2, OperatorExpr.from_scalar(ScalarExpr.rpow(-1)), None)])
         self.minus_2H = self.H * Fraction(-2)
 
         # Mt_k = sum_i (pi_i L_ik + L_ik pi_i) + (2 mu0 e2 / hbar) x_k / r
         self.M = []
         for k in range(5):
-            op = OperatorExpr.zero()
+            parts = []
             for i in range(5):
-                if i == k:
-                    continue
-                lik = self.L(i, k)
-                op = op + self.pi[i] @ lik + lik @ self.pi[i]
+                if i != k:
+                    lik = self.L(i, k)
+                    parts += [(1, self.pi[i], lik), (1, lik, self.pi[i])]
             mono = [0] * 5
             mono[k] = 1
-            op = op + OperatorExpr.from_scalar(
-                ScalarExpr.term(1, mono, rp=-1)) * (2 * mu0 * e2 / hb)
-            self.M.append(op)
+            parts.append((2 * mu0 * e2 / hb, OperatorExpr.from_scalar(
+                ScalarExpr.term(1, mono, rp=-1)), None))
+            self.M.append(combine(parts))
 
         self._pairs: dict[tuple[int, int], OperatorExpr] = {}
         self._mm_residuals: dict[tuple[int, int], bool] | None = None
@@ -122,31 +120,31 @@ class SymmetryOperators:
     def L(self, i: int, j: int) -> OperatorExpr:
         if i == j:
             return OperatorExpr.zero()
-        if i < j:
-            return self._L[(i, j)]
-        return -self._L[(j, i)]
+        return self._L[(i, j)]
 
     def x_op(self, k: int) -> OperatorExpr:
         return OperatorExpr.from_scalar(X[k])
 
     def mm_pair(self, i: int, j: int) -> OperatorExpr:
-        """Mt_i @ Mt_j, cached; the dominant compositions of the suite."""
+        """Mt_i @ Mt_j, the cached factors of the C4 chains."""
         key = (i, j)
         if key not in self._pairs:
             self._pairs[key] = self.M[i] @ self.M[j]
         return self._pairs[key]
 
     def mm_bracket_clean(self) -> dict[tuple[int, int], bool]:
-        """[Mt_i, Mt_j] + 8 i mu0 H L_ij = 0 for i < j, computed once."""
+        """[Mt_i, Mt_j] + 8 i mu0 H L_ij = 0 for i < j, computed once.
+
+        Each residual is one fused `OperatorExpr.combine`; no pair
+        Mt_i Mt_j is composed or cached on the way.
+        """
         if self._mm_residuals is None:
-            out = {}
-            coef = _I * (8 * self.params.mu0)
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    resid = (self.mm_pair(i, j) - self.mm_pair(j, i)
-                             + (self.H @ self.L(i, j)) * coef)
-                    out[(i, j)] = resid.is_zero()
-            self._mm_residuals = out
+            M, coef = self.M, _I * (8 * self.params.mu0)
+            self._mm_residuals = {
+                (i, j): OperatorExpr.combine(
+                    [(1, M[i], M[j]), (-1, M[j], M[i]),
+                     (coef, self.H, self.L(i, j))]).is_zero()
+                for i, j in combinations(range(5), 2)}
         return self._mm_residuals
 
 
@@ -157,14 +155,21 @@ def build_operators(params: UnitParams | None = None,
 
 # ----- the ten bracket relations ------------------------------------------------
 
+def _bracket_is(a: OperatorExpr, b: OperatorExpr, *want) -> bool:
+    """[a, b] = sum of coef * op over the (coef, op) pairs in want, decided
+    on one fused residual [(1, a, b), (-1, b, a), (-coef, op, None), ...]."""
+    return OperatorExpr.combine(
+        [(1, a, b), (-1, b, a)]
+        + [(-coef, op, None) for coef, op in want]).is_zero()
+
+
 def _check_pi_x(ops: SymmetryOperators):
-    hb = ops.params.hbar
+    unit = (-_I * ops.params.hbar, OperatorExpr.identity())
     n, ok = 0, True
     for i in range(5):
         for j in range(5):
-            resid = (ops.pi[i] @ ops.x_op(j) - ops.x_op(j) @ ops.pi[i]
-                     + OperatorExpr.from_const(_I * hb) * (1 if i == j else 0))
-            ok = ok and resid.is_zero()
+            want = [unit] if i == j else []
+            ok = ok and _bracket_is(ops.pi[i], ops.x_op(j), *want)
             n += 1
     return ok, n
 
@@ -175,13 +180,9 @@ def _check_pi_pi(ops: SymmetryOperators):
     n, ok = 0, True
     for i in range(5):
         for j in range(5):
-            want = OperatorExpr.zero()
-            for a in (1, 2, 3):
-                if not F[a][i][j].is_structural_zero():
-                    want = want + OperatorExpr(
-                        {(_iso_word(a), _ZD): F[a][i][j] * (_I * hb * hb)})
-            resid = ops.pi[i] @ ops.pi[j] - ops.pi[j] @ ops.pi[i] - want
-            ok = ok and resid.is_zero()
+            f = OperatorExpr({(_iso_word(a), _ZD): F[a][i][j]
+                              for a in (1, 2, 3)})
+            ok = ok and _bracket_is(ops.pi[i], ops.pi[j], (_I * hb * hb, f))
             n += 1
     return ok, n
 
@@ -192,14 +193,9 @@ def _check_L_x(ops: SymmetryOperators):
         for j in range(i + 1, 5):
             lij = ops.L(i, j)
             for k in range(5):
-                want = OperatorExpr.zero()
-                if i == k:
-                    want = want + ops.x_op(j) * _I
-                if j == k:
-                    want = want - ops.x_op(i) * _I
-                xk = ops.x_op(k)
-                resid = lij @ xk - xk @ lij - want
-                ok = ok and resid.is_zero()
+                want = ([(_I, ops.x_op(j))] if i == k else []) \
+                    + ([(-_I, ops.x_op(i))] if j == k else [])
+                ok = ok and _bracket_is(lij, ops.x_op(k), *want)
                 n += 1
     return ok, n
 
@@ -210,13 +206,9 @@ def _check_L_pi(ops: SymmetryOperators):
         for j in range(i + 1, 5):
             lij = ops.L(i, j)
             for k in range(5):
-                want = OperatorExpr.zero()
-                if i == k:
-                    want = want + ops.pi[j] * _I
-                if j == k:
-                    want = want - ops.pi[i] * _I
-                resid = lij @ ops.pi[k] - ops.pi[k] @ lij - want
-                ok = ok and resid.is_zero()
+                want = ([(_I, ops.pi[j])] if i == k else []) \
+                    + ([(-_I, ops.pi[i])] if j == k else [])
+                ok = ok and _bracket_is(lij, ops.pi[k], *want)
                 n += 1
     return ok, n
 
@@ -228,13 +220,10 @@ def _check_L_L(ops: SymmetryOperators):
             lij = ops.L(i, j)
             for m in range(5):
                 for nn in range(m + 1, 5):
-                    lmn = ops.L(m, nn)
-                    want = (ops.L(j, nn) * (1 if i == m else 0)
-                            - ops.L(i, nn) * (1 if j == m else 0)
-                            - ops.L(j, m) * (1 if i == nn else 0)
-                            + ops.L(i, m) * (1 if j == nn else 0)) * _I
-                    resid = lij @ lmn - lmn @ lij - want
-                    ok = ok and resid.is_zero()
+                    want = [(s * _I, ops.L(p, q)) for s, hit, p, q in (
+                        (1, i == m, j, nn), (-1, j == m, i, nn),
+                        (-1, i == nn, j, m), (1, j == nn, i, m)) if hit]
+                    ok = ok and _bracket_is(lij, ops.L(m, nn), *want)
                     n += 1
     return ok, n
 
@@ -243,9 +232,7 @@ def _check_H_L(ops: SymmetryOperators):
     n, ok = 0, True
     for i in range(5):
         for j in range(i + 1, 5):
-            lij = ops.L(i, j)
-            resid = ops.H @ lij - lij @ ops.H
-            ok = ok and resid.is_zero()
+            ok = ok and _bracket_is(ops.H, ops.L(i, j))
             n += 1
     return ok, n
 
@@ -253,8 +240,7 @@ def _check_H_L(ops: SymmetryOperators):
 def _check_H_M(ops: SymmetryOperators):
     n, ok = 0, True
     for k in range(5):
-        resid = ops.H @ ops.M[k] - ops.M[k] @ ops.H
-        ok = ok and resid.is_zero()
+        ok = ok and _bracket_is(ops.H, ops.M[k])
         n += 1
     return ok, n
 
@@ -265,10 +251,9 @@ def _check_L_M(ops: SymmetryOperators):
         for j in range(i + 1, 5):
             lij = ops.L(i, j)
             for k in range(5):
-                want = (ops.M[j] * (1 if i == k else 0)
-                        - ops.M[i] * (1 if j == k else 0)) * _I
-                resid = lij @ ops.M[k] - ops.M[k] @ lij - want
-                ok = ok and resid.is_zero()
+                want = ([(_I, ops.M[j])] if i == k else []) \
+                    + ([(-_I, ops.M[i])] if j == k else [])
+                ok = ok and _bracket_is(lij, ops.M[k], *want)
                 n += 1
     return ok, n
 
@@ -317,21 +302,20 @@ def _perm_sign(seq) -> int:
 def _cleared_c2(ops: SymmetryOperators) -> OperatorExpr:
     """K = mu0 e2^2 / hbar^2 + (2 T^2 - 4)(-2H), the cleared C2 value."""
     p = ops.params
-    return (OperatorExpr.from_const(p.mu0 * p.e2 * p.e2 / (p.hbar * p.hbar))
-            + (ops.T2 * 2 - OperatorExpr.from_const(4)) @ ops.minus_2H)
+    return OperatorExpr.combine(
+        [(p.mu0 * p.e2 * p.e2 / (p.hbar * p.hbar), OperatorExpr.identity(),
+          None),
+         (2, ops.T2, ops.minus_2H), (-4, ops.minus_2H, None)])
 
 
 def casimir_c2_residual(ops: SymmetryOperators) -> OperatorExpr:
     """C2-cleared: sum L^2 (-2H) + sum Mt^2 / (4 mu0) - K."""
-    p = ops.params
-    lhs = OperatorExpr.zero()
-    for i in range(5):
-        for j in range(i + 1, 5):
-            lij = ops.L(i, j)
-            lhs = lhs + (lij @ lij) @ ops.minus_2H
-    for i in range(5):
-        lhs = lhs + ops.mm_pair(i, i) * (Fraction(1, 4) / p.mu0)
-    return lhs - _cleared_c2(ops)
+    l2 = OperatorExpr.combine([(1, ops.L(i, j), ops.L(i, j))
+                               for i, j in combinations(range(5), 2)])
+    q = Fraction(1, 4) / ops.params.mu0
+    return OperatorExpr.combine(
+        [(1, l2, ops.minus_2H)] + [(q, m, m) for m in ops.M]
+        + [(-1, _cleared_c2(ops), None)])
 
 
 def _so51_generator(ops: SymmetryOperators, m: int, n: int):
@@ -354,12 +338,12 @@ def _c3_pairings(ops: SymmetryOperators, mu: int, nu: int) -> OperatorExpr:
     """Sum of eps(mu nu a b c d) D~_ab D~_cd over the six ways to split the
     four indices other than mu, nu into two sorted pairs a < b and c < d."""
     rest = [k for k in range(6) if k not in (mu, nu)]
-    G = OperatorExpr.zero()
+    parts = []
     for a, b in combinations(rest, 2):
         c, d = (k for k in rest if k not in (a, b))
-        G = G + (_so51_generator(ops, a, b) @ _so51_generator(ops, c, d)) \
-            * _perm_sign((mu, nu, a, b, c, d))
-    return G
+        parts.append((_perm_sign((mu, nu, a, b, c, d)),
+                      _so51_generator(ops, a, b), _so51_generator(ops, c, d)))
+    return OperatorExpr.combine(parts)
 
 
 def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
@@ -379,12 +363,11 @@ def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
     composes 90 distinct pair products instead of 360.
     """
     p = ops.params
-    total = OperatorExpr.zero()
-    for mu, nu in combinations(range(6), 2):
-        total = total + (_so51_generator(ops, mu, nu)
-                         @ _c3_pairings(ops, mu, nu)) * 8
-    K3 = 96 * p.mu0 * p.e2 / p.hbar
-    return total - ops.T2 * K3
+    # a generator: each G_mn is freed once it is accumulated
+    return OperatorExpr.combine(chain(
+        ((8, _so51_generator(ops, mu, nu), _c3_pairings(ops, mu, nu))
+         for mu, nu in combinations(range(6), 2)),
+        [(-96 * p.mu0 * p.e2 / p.hbar, ops.T2, None)]))
 
 
 # -- C4: composing the cleared quartic residual as an operator would take
@@ -396,23 +379,16 @@ def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
 
 def _c4_e0(ops: SymmetryOperators, m: int, r: int) -> OperatorExpr:
     """E0_mr = sum over nu other than m, r of L_m,nu L_nu,r."""
-    acc = OperatorExpr.zero()
-    for nu in range(5):
-        if nu not in (m, r):
-            acc = acc + ops.L(m, nu) @ ops.L(nu, r)
-    return acc
+    return OperatorExpr.combine([(1, ops.L(m, nu), ops.L(nu, r))
+                                 for nu in range(5) if nu not in (m, r)])
 
 
 def _c4_el5_e5l(ops: SymmetryOperators,
                 m: int) -> tuple[OperatorExpr, OperatorExpr]:
     """EL5_m = sum_nu L_m,nu Mt_nu and E5L_m = sum_nu Mt_nu L_nu,m."""
-    el5 = OperatorExpr.zero()
-    e5l = OperatorExpr.zero()
-    for nu in range(5):
-        if nu != m:
-            el5 = el5 + ops.L(m, nu) @ ops.M[nu]
-            e5l = e5l + ops.M[nu] @ ops.L(nu, m)
-    return el5, e5l
+    nus = [nu for nu in range(5) if nu != m]
+    return (OperatorExpr.combine([(1, ops.L(m, nu), ops.M[nu]) for nu in nus]),
+            OperatorExpr.combine([(1, ops.M[nu], ops.L(nu, m)) for nu in nus]))
 
 
 def _c4_chains(ops: SymmetryOperators) -> list[tuple]:
@@ -448,9 +424,7 @@ def _c4_chains(ops: SymmetryOperators) -> list[tuple]:
     for m in range(5):
         el5, e5l = _c4_el5_e5l(ops, m)
         chains += [(c1, el5, e5l, 1), (c1, e5l, el5, 1)]
-    S = OperatorExpr.zero()
-    for i in range(5):
-        S = S + ops.mm_pair(i, i)
+    S = OperatorExpr.combine([(1, m, m) for m in ops.M])
     chains.append((Fraction(1, 32) / (p.mu0 * p.mu0), S, S, 0))
     K, T2, one = _cleared_c2(ops), ops.T2, OperatorExpr.identity()
     chains += [(-1, K, K, 0), (-6, K, one, 1), (4, K, T2, 1),

@@ -276,11 +276,17 @@ def test_matmul_matches_reference_at_the_exponent_limit():
                                      ((0, 0, 0, 0, 0), -200)],
                          ids=["x0^200", "r^-200"])
 def test_matmul_rejects_exponents_outside_the_packed_range(mono, rp):
+    """`@` and every kind of `combine` part raise ExponentRange."""
     big = OperatorExpr.from_scalar(ScalarExpr.term(1, mono, rp=rp))
     small = OperatorExpr.from_scalar(X[1]) @ OperatorExpr.deriv(0)
     for x, y in ((big, small), (small, big)):
         with pytest.raises(ExponentRange, match="outside"):
             _ = x @ y
+    for parts in ([(Fraction(1, 3), big, small)],
+                  [(1, small, small), (GaussRat(0, 1), small, big)],
+                  [(1, small, small), (2, big, None)]):
+        with pytest.raises(ExponentRange, match="outside"):
+            OperatorExpr.combine(parts)
 
 
 def test_word_coefficients_are_gaussian_integers():
@@ -289,3 +295,36 @@ def test_word_coefficients_are_gaussian_integers():
     for w1 in words:
         for w2 in words:
             assert all(c.d == 1 for c in word_mul(w1, w2).values())
+
+
+# ----- fused sums of products ------------------------------------------------
+
+def test_combine_matches_the_unfused_sum(random_ops):
+    a, b, c, _ = random_ops
+    c1, c2, c3 = GaussRat(3, -2) / 7, Fraction(-5, 3), GaussRat(0, 1)
+    fused = OperatorExpr.combine([(c1, a, b), (c2, b, a), (c3, c, None)])
+    unfused = (a @ b) * c1 + (b @ a) * c2 + c * c3
+    assert not fused.is_zero()
+    assert (fused - unfused).is_zero()
+
+
+def test_combine_of_one_product_is_matmul(random_ops):
+    """One part keeps the keys and term order of `@`, and of the GaussRat
+    reference, with its coefficient folded into the first factor."""
+    a, b, c, _ = random_ops
+    for s, x, y in ((1, a, b), (Fraction(-5, 3), b, c),
+                    (GaussRat(3, -2) / 7, c, a)):
+        got = OperatorExpr.combine([(s, x, y)])
+        _assert_same_terms(got, (x * s) @ y)
+        _assert_same_terms(got, _reference_matmul(x * s, y))
+
+
+def test_combine_of_nothing_is_a_structural_zero(random_ops):
+    a, b, _, _ = random_ops
+    empty = OperatorExpr.zero()
+    for parts in ([], [(0, a, b)], [(Fraction(0), a, None)],
+                  [(GaussRat(0), b, a)], [(1, empty, b)], [(1, a, empty)],
+                  [(2, empty, None)], [(1, a, b), (-1, a, b)],
+                  [(Fraction(2, 3), a, None), (Fraction(-2, 3), a, None)]):
+        assert OperatorExpr.combine(parts).is_structural_zero()
+

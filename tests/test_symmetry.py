@@ -27,6 +27,7 @@ from hkit.symmetry import (
     c4_applied_residual,
     c4_test_jets,
     c4_test_points,
+    casimir_c2_residual,
     casimir_c3_residual,
     casimir_check,
     verify_relation,
@@ -106,6 +107,18 @@ def test_c3_residual_detects_a_wrong_constant(unit_ops):
     resid = casimir_c3_residual(unit_ops)
     assert resid.is_zero()
     assert not (resid + unit_ops.T2 * (p.mu0 * p.e2 / p.hbar)).is_zero()
+
+
+def test_fused_residuals_see_a_perturbed_mt():
+    """Each relation and Casimir residual is one fused sum of products; a
+    stray x_3 / 7 in Mt_3 still shows in every check that involves Mt."""
+    ops = build_operators()
+    ops.M[3] = ops.M[3] + ops.x_op(3) * Fraction(1, 7)
+    ops._pairs.clear()
+    ops._mm_residuals = None
+    for name in ("H-M", "L-M", "M-M"):
+        assert not verify_relation(ops, name).passed, name
+    assert not casimir_c2_residual(ops).is_zero()
 
 
 @pytest.fixture(scope="module")
