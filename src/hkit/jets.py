@@ -172,28 +172,37 @@ class PointJet:
         return got
 
     def xpow(self, i: int, m: int) -> np.ndarray:
+        """Taylor coefficients of x_i^m along axis i, one per degree 0 ..
+        order: C(m, j) x_i^(m - j), and 0 above m."""
         key = (i, m)
         got = self._pow_x.get(key)
         if got is None:
-            sp = self.space
-            got = np.zeros(sp.dim, dtype=complex)
-            for j in range(min(m, self.order) + 1):
-                gi = [0] * 5
-                gi[i] = j
-                got[sp.pos[tuple(gi)]] = comb(m, j) * self.xs[i] ** (m - j)
+            got = np.array([comb(m, j) * self.xs[i] ** (m - j) if j <= m
+                            else 0.0 for j in range(self.order + 1)])
             self._pow_x[key] = got
         return got
 
     def term(self, mono, rp: int, ap: int, s: int) -> np.ndarray:
+        """Jet of x^mono r^rp (r + s x0)^ap.
+
+        x^mono is separable: its coefficient at gamma is the product over
+        axes i of the coefficient of x_i^m_i at degree gamma_i, so it is
+        gathered, not multiplied out.  One truncated product joins it to
+        r^rp (r + s x0)^ap, itself cached as the term with mono 0.
+        """
         key = (mono, rp, ap, s)
         got = self._term_cache.get(key)
         if got is None:
-            got = self.rpow(rp) if rp else self.space.const(1.0)
-            if ap:
-                got = self.space.mul(got, self.axis_pow(ap, s))
-            for i, m in enumerate(mono):
-                if m:
-                    got = self.space.mul(got, self.xpow(i, m))
+            sp = self.space
+            if any(mono):
+                xm = np.ones(sp.dim)
+                for i, m in enumerate(mono):
+                    xm *= self.xpow(i, m)[sp.grid[:, i]]
+                got = sp.mul(self.term((0,) * 5, rp, ap, s), xm)
+            else:
+                got = self.rpow(rp)
+                if ap:
+                    got = sp.mul(got, self.axis_pow(ap, s))
             self._term_cache[key] = got
         return got
 

@@ -114,7 +114,6 @@ class SymmetryOperators:
                 ScalarExpr.term(1, mono, rp=-1)), None))
             self.M.append(combine(parts))
 
-        self._pairs: dict[tuple[int, int], OperatorExpr] = {}
         self._mm_residuals: dict[tuple[int, int], bool] | None = None
 
     def L(self, i: int, j: int) -> OperatorExpr:
@@ -124,13 +123,6 @@ class SymmetryOperators:
 
     def x_op(self, k: int) -> OperatorExpr:
         return OperatorExpr.from_scalar(X[k])
-
-    def mm_pair(self, i: int, j: int) -> OperatorExpr:
-        """Mt_i @ Mt_j, the cached factors of the C4 chains."""
-        key = (i, j)
-        if key not in self._pairs:
-            self._pairs[key] = self.M[i] @ self.M[j]
-        return self._pairs[key]
 
     def mm_bracket_clean(self) -> dict[tuple[int, int], bool]:
         """[Mt_i, Mt_j] + 8 i mu0 H L_ij = 0 for i < j, computed once.
@@ -371,11 +363,14 @@ def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
 
 
 # -- C4: composing the cleared quartic residual as an operator would take
-# roughly 10^9 monomial operations, most of them in its 25 block products
-# G1_mr G1_rm.  Both sides are instead written as one signed list of
-# two-factor jet chains, and the list is summed at seeded points on a
-# seeded jet of f of full order 8, the order of the left side, so no
-# derivative of f that the residual operator could act on is left out.
+# roughly 10^9 monomial operations, and even its 25 block products
+# Mt_m Mt_r reach thousands of monomials each.  Both sides are instead
+# written as one signed list of jet chains, each a short sequence of
+# operators applied one after another, and the list is summed at seeded
+# points on a seeded jet of f of full order 8, the order of the left side,
+# so no derivative of f that the residual operator could act on is left
+# out.  Every Mt stays a factor of its own; only the cheap sums E0,
+# EL5/E5L, K and T^2 are composed.
 
 def _c4_e0(ops: SymmetryOperators, m: int, r: int) -> OperatorExpr:
     """E0_mr = sum over nu other than m, r of L_m,nu L_nu,r."""
@@ -392,8 +387,8 @@ def _c4_el5_e5l(ops: SymmetryOperators,
 
 
 def _c4_chains(ops: SymmetryOperators) -> list[tuple]:
-    """The cleared C4 residual as chains (coef, outer, inner, k), each one
-    standing for coef outer(inner((-2H)^k f)).
+    """The cleared C4 residual as chains (coef, (op_1, ..., op_n), k), each
+    one standing for coef op_1(...op_n((-2H)^k f)), outermost first.
 
     With G1_mr = E0_mr (-2H) - Mt_m Mt_r / (4 mu0) the left side is
 
@@ -402,34 +397,38 @@ def _c4_chains(ops: SymmetryOperators) -> list[tuple]:
         + (1/(32 mu0^2)) S S,        S = sum_i Mt_i Mt_i,
 
     and since (-2H) commutes exactly with every L and Mt (verified first)
-    the G1 products expand into four two-factor patterns with (-2H)
-    pushed onto f.  The right side, with K the cleared C2 value,
+    the G1 products expand into four patterns with (-2H) pushed onto f:
+    (E0_mr, E0_rm), (E0_mr, Mt_r, Mt_m), (Mt_m, Mt_r, E0_rm) and
+    (Mt_m, Mt_r, Mt_r, Mt_m).  S S is the 25 chains (Mt_i, Mt_i, Mt_j,
+    Mt_j).  The right side, with K the cleared C2 value,
 
         K K + 6 K (-2H) - 4 K T^2 (-2H) - 12 T^2 (-2H)^2 + 6 T^4 (-2H)^2,
 
-    enters negated.
+    enters negated.  Each Mt factor is the one object ops.M[i], so chains
+    that end in the same factors share their images in `_c4_values`.
     """
     p = ops.params
     q = Fraction(1, 4) / p.mu0
+    M = ops.M
     E0 = {(m, r): _c4_e0(ops, m, r) for m in range(5) for r in range(5)}
     chains = []
     for m in range(5):
         for r in range(5):
-            mr, rm = ops.mm_pair(m, r), ops.mm_pair(r, m)
-            chains += [(Fraction(1, 2), E0[m, r], E0[r, m], 2),
-                       (-q / 2, E0[m, r], rm, 1),
-                       (-q / 2, mr, E0[r, m], 1),
-                       (q * q / 2, mr, rm, 0)]
+            chains += [(Fraction(1, 2), (E0[m, r], E0[r, m]), 2),
+                       (-q / 2, (E0[m, r], M[r], M[m]), 1),
+                       (-q / 2, (M[m], M[r], E0[r, m]), 1),
+                       (q * q / 2, (M[m], M[r], M[r], M[m]), 0)]
     c1 = -Fraction(1, 8) / p.mu0
     for m in range(5):
         el5, e5l = _c4_el5_e5l(ops, m)
-        chains += [(c1, el5, e5l, 1), (c1, e5l, el5, 1)]
-    S = OperatorExpr.combine([(1, m, m) for m in ops.M])
-    chains.append((Fraction(1, 32) / (p.mu0 * p.mu0), S, S, 0))
-    K, T2, one = _cleared_c2(ops), ops.T2, OperatorExpr.identity()
-    chains += [(-1, K, K, 0), (-6, K, one, 1), (4, K, T2, 1),
-               (12, T2, one, 2), (-6, T2, T2, 2)]
-    return [(float(c), outer, inner, k) for c, outer, inner, k in chains]
+        chains += [(c1, (el5, e5l), 1), (c1, (e5l, el5), 1)]
+    c2 = Fraction(1, 32) / (p.mu0 * p.mu0)
+    chains += [(c2, (M[i], M[i], M[j], M[j]), 0)
+               for i in range(5) for j in range(5)]
+    K, T2 = _cleared_c2(ops), ops.T2
+    chains += [(-1, (K, K), 0), (-6, (K,), 1), (4, (K, T2), 1),
+               (12, (T2,), 2), (-6, (T2, T2), 2)]
+    return [(float(c), factors, k) for c, factors, k in chains]
 
 
 @dataclass(frozen=True)
@@ -457,14 +456,14 @@ class _ChainPlans:
     Every distinct coefficient term x^m r^k (r + s x0)^a of a planned
     operator owns one column, so one stack of term jets per point serves
     all plans.  Those jets reach ``order``, the largest order of a planned
-    operator or the order given, whichever is higher.  Plans are keyed by
-    operator identity and keep the operator alive, so an id cannot be
-    reused while its plan is cached.
+    operator, or the order of an image asked for above it.  Plans are
+    keyed by operator identity and keep the operator alive, so an id
+    cannot be reused while its plan is cached.
     """
 
-    def __init__(self, order: int = 0):
+    def __init__(self):
         self.terms: list[tuple] = []
-        self.order = order
+        self.order = 0
         self._column: dict[tuple, int] = {}
         self._plans: dict[int, tuple[OperatorExpr, _ChainPlan]] = {}
 
@@ -523,12 +522,16 @@ class _JetApplier:
     - output component s of the image jet is the truncated product
       a[s][:, ia] * shifted[:, ib], summed over (b, d) and binned on ic.
 
-    A chain outer(inner(f)) is the image under inner at the order of
-    outer, then the image of that under outer at order 0, which is the
-    value at the point.  Nothing is composed or applied symbolically.  The
-    plans live as long as the `_ChainPlans` passed in, one check in
-    `_c4_values`; the term jets live as long as the applier, one point.
-    Jet spaces and shift tables are cached per order for the process.
+    A chain op_1(...op_n(f)) is evaluated from the inside out: the image
+    under op_n at the summed order of op_1 .. op_(n-1), the image of that
+    under op_(n-1) at the order of the factors still outside it, and so
+    on, down to order 0, the value at the point.  Each image is memoized
+    by the input jet, the suffix of factors applied to it and its order,
+    so chains that end in the same factors compute them once.  Nothing is
+    composed or applied symbolically.  The plans live as long as the
+    `_ChainPlans` passed in, one check in `_c4_values`; the term jets and
+    images live as long as the applier, one point.  Jet spaces and shift
+    tables are cached per order for the process.
     """
 
     def __init__(self, p: Point5, plans: _ChainPlans | None = None):
@@ -536,24 +539,29 @@ class _JetApplier:
         self.plans = _ChainPlans() if plans is None else plans
         self._tjets: dict[int, np.ndarray] = {}
         self._tjets_for = None
+        self._images: dict[tuple, np.ndarray] = {}
+        self._inputs: dict[int, np.ndarray] = {}
 
     def term_jets(self, order: int) -> np.ndarray:
         """Jets of every planned term at order, one row per term column.
 
-        They are computed once at the plans' top order; a lower order is a
-        prefix of each row, because jets are sorted by degree.
+        They are computed once at the plans' top order, or at order if
+        that is higher; a lower order is a prefix of each row, because
+        jets are sorted by degree.  A new term column or a higher order
+        computes them again.
         """
         plans = self.plans
-        top = (len(plans.terms), plans.order)
-        if self._tjets_for != top:
-            pj = PointJet(self.p, plans.order)
-            self._tjets = {plans.order: np.array(
+        top = max(plans.order, order)
+        held = self._tjets_for
+        if held is None or held[0] != len(plans.terms) or held[1] < top:
+            pj = PointJet(self.p, top)
+            self._tjets = {top: np.array(
                 [pj.term(*t) for t in plans.terms],
-                dtype=complex).reshape(top[0], pj.space.dim)}
-            self._tjets_for = top
+                dtype=complex).reshape(len(plans.terms), pj.space.dim)}
+            self._tjets_for = held = (len(plans.terms), top)
         got = self._tjets.get(order)
         if got is None:
-            full = self._tjets[plans.order]
+            full = self._tjets[held[1]]
             got = np.ascontiguousarray(full[:, :_JetSpace.get(order).dim])
             self._tjets[order] = got
         return got
@@ -580,11 +588,24 @@ class _JetApplier:
             out[s] += 1j * np.bincount(lo.ic, prod.imag, lo.dim)
         return out
 
-    def chain(self, outer: OperatorExpr, inner: OperatorExpr,
-              fjet: np.ndarray) -> np.ndarray:
-        """Both components of outer(inner(f)) at the point."""
-        mid = self.image(inner, fjet, self.plans.get(outer).order)
-        return self.image(outer, mid, 0)[:, 0]
+    def chain(self, factors: tuple, fjet: np.ndarray) -> np.ndarray:
+        """Both components of factors[0](...factors[-1](f)) at the point.
+
+        The applier holds fjet, so its id keys the memo for as long as the
+        memoized images do; fjet must not be changed in place afterwards.
+        """
+        self._inputs[id(fjet)] = fjet
+        orders = [self.plans.get(op).order for op in factors]
+        jet, suffix = fjet, ()
+        for i in reversed(range(len(factors))):
+            suffix = (id(factors[i]),) + suffix
+            order = sum(orders[:i])
+            key = (id(fjet), suffix, order)
+            got = self._images.get(key)
+            if got is None:
+                got = self._images[key] = self.image(factors[i], jet, order)
+            jet = got
+        return jet[:, 0]
 
 
 def _c4_values(ops: SymmetryOperators, chains: list[tuple],
@@ -592,26 +613,27 @@ def _c4_values(ops: SymmetryOperators, chains: list[tuple],
     """The sum of the chains at each point, one row of both components per
     point, for the jet of f there (order 8 or higher).
 
-    f1 = (-2H) f at order 6 and f2 = (-2H) f1 at order 4 are images under
-    a plan set that holds only -2H, so the chains' own plans stay at the
-    order of their widest operator.  The chain plans are built once,
-    before the first point, and dropped when this returns; each point gets
-    its own appliers, so its term jets are freed before the next point's
-    are made.
+    f1 = (-2H) f at order 6 and f2 = (-2H) f1 at order 4 come from the same
+    plan set as the chains.  f1 is the first image at each point and no
+    chain asks for a higher one (an Mt under three outer factors is also
+    taken at order 6), so the term jets are computed once per point, at
+    order 6.  All plans are built before the first point, so no term
+    column is added after that, and dropped when this returns; each point
+    gets its own applier, so its term jets and memoized images are freed
+    before the next point's are made.
     """
     plans = _ChainPlans()
-    for _, outer, inner, _ in chains:
-        plans.get(outer)
-        plans.get(inner)
-    h_plans = _ChainPlans(order=6)
+    plans.get(ops.minus_2H)
+    for _, factors, _ in chains:
+        for op in factors:
+            plans.get(op)
     vals = np.zeros((len(points), 2), dtype=complex)
     for n, (pt, f) in enumerate(zip(points, jets)):
-        jh = _JetApplier(pt, h_plans)
-        f1 = jh.image(ops.minus_2H, f, 6)
-        fk = (f, f1, jh.image(ops.minus_2H, f1, 4))
         ja = _JetApplier(pt, plans)
-        for coef, outer, inner, k in chains:
-            vals[n] += coef * ja.chain(outer, inner, fk[k])
+        f1 = ja.image(ops.minus_2H, f, 6)
+        fk = (f, f1, ja.image(ops.minus_2H, f1, 4))
+        for coef, factors, k in chains:
+            vals[n] += coef * ja.chain(factors, fk[k])
     return vals
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hkit import symmetry
-from hkit.exact import CHART_A, CHART_B, ScalarExpr, X
+from hkit.exact import CHART_A, CHART_B, GaussRat, ScalarExpr, X
 from hkit.jets import PointJet
 from hkit.operators import IsoFun, OperatorExpr, apply
 from hkit.params import UnitParams
@@ -19,6 +19,7 @@ from hkit.symmetry import (
     RELATION_NAMES,
     _c3_pairings,
     _c4_chains,
+    _c4_e0,
     _c4_values,
     _JetApplier,
     _perm_sign,
@@ -114,7 +115,6 @@ def test_fused_residuals_see_a_perturbed_mt():
     stray x_3 / 7 in Mt_3 still shows in every check that involves Mt."""
     ops = build_operators()
     ops.M[3] = ops.M[3] + ops.x_op(3) * Fraction(1, 7)
-    ops._pairs.clear()
     ops._mm_residuals = None
     for name in ("H-M", "L-M", "M-M"):
         assert not verify_relation(ops, name).passed, name
@@ -149,27 +149,73 @@ def test_casimir_quartic_budget_fallback(unit_ops, unit_c4, monkeypatch):
 CHAINS = {
     "L01-pi2": lambda ops: (ops.L(0, 1), ops.pi[2]),
     "L13L32-minus2H": lambda ops: (ops.L(1, 3) @ ops.L(3, 2), ops.minus_2H),
-    "M2-M3M0": lambda ops: (ops.M[2], ops.mm_pair(3, 0)),
+    "M2-M3M0": lambda ops: (ops.M[2], ops.M[3], ops.M[0]),
 }
+
+
+def _sample_f():
+    return IsoFun(X[1] * X[3] * X[4] + X[0] * X[0] * Fraction(1, 2)
+                  - X[2] * Fraction(2, 3),
+                  X[2] * X[4] - X[0] * X[1] * X[1]
+                  + ScalarExpr.const(Fraction(1, 3)))
+
+
+def _jet(p, f, order):
+    pj = PointJet(p, order)
+    return np.array([pj.expr(f.c[0]), pj.expr(f.c[1])])
 
 
 @pytest.mark.parametrize("chart,name", [(CHART_A, n) for n in CHAINS]
                          + [(CHART_B, "L13L32-minus2H")])
 def test_jet_chain_matches_symbolic_application(unit_ops, chart, name):
-    """The batched jet chain evaluates outer(inner(f)) at a point exactly
-    as the symbolic engine does, up to rounding, on either chart."""
+    """The batched jet chain evaluates op_1(...op_n(f)) at a point exactly
+    as the symbolic engine does, up to rounding, on either chart.  Images
+    are memoized per input jet: the same factors on 2 f give twice the
+    value."""
     ops = unit_ops if chart == CHART_A else build_operators(chart=chart)
-    outer, inner = CHAINS[name](ops)
-    f = IsoFun(X[1] * X[3] * X[4] + X[0] * X[0] * Fraction(1, 2)
-               - X[2] * Fraction(2, 3),
-               X[2] * X[4] - X[0] * X[1] * X[1]
-               + ScalarExpr.const(Fraction(1, 3)))
+    factors = CHAINS[name](ops)
+    f = _sample_f()
     p = c4_test_points()[0]
-    pj = PointJet(p, 8)
-    fjet = np.array([pj.expr(f.c[0]), pj.expr(f.c[1])])
-    want = apply(outer, apply(inner, f)).evaluate(p)
-    got = tuple(_JetApplier(p).chain(outer, inner, fjet))
-    assert got == pytest.approx(want, rel=1e-9)
+    want = f
+    for op in reversed(factors):
+        want = apply(op, want)
+    ja, fjet = _JetApplier(p), _jet(p, f, 8)
+    got = tuple(ja.chain(factors, fjet))
+    assert got == pytest.approx(want.evaluate(p), rel=1e-9)
+    assert tuple(ja.chain(factors, 2 * fjet)) == pytest.approx(
+        tuple(2 * v for v in got), rel=1e-12)
+
+
+def test_jet_image_above_the_plans_order(unit_ops):
+    """An image asked for above the order its plans were built at, or
+    above the order of the term jets computed so far, computes the term
+    jets again at that order and then serves lower orders from them,
+    instead of reading term jets that are too short."""
+    f, p = _sample_f(), c4_test_points()[1]
+    want = apply(unit_ops.M[0], f)
+    ja = _JetApplier(p)
+    assert ja.plans.get(unit_ops.M[0]).order == 2 == ja.plans.order
+    fjet = _jet(p, f, 8)
+    for order in (2, 6, 3):
+        got = ja.image(unit_ops.M[0], fjet, order)
+        assert got.shape == (2, PointJet(p, order).space.dim)
+        assert got == pytest.approx(_jet(p, want, order), rel=1e-9,
+                                    abs=1e-12)
+
+
+@pytest.mark.parametrize("params", [UnitParams(), SCALED],
+                         ids=["unit", "scaled"])
+@pytest.mark.parametrize("m,r", [(0, 1), (2, 4)])
+def test_g1_antisymmetric_part_is_minus_4i_l_minus2h(params, m, r):
+    """G1_mr - G1_rm = -4i L_mr (-2H), with G1_mr = E0_mr (-2H) - Mt_m
+    Mt_r / (4 mu0), holds exactly, as one fused residual."""
+    ops = build_operators(params)
+    q = Fraction(1, 4) / params.mu0
+    h = ops.minus_2H
+    assert OperatorExpr.combine(
+        [(1, _c4_e0(ops, m, r), h), (-1, _c4_e0(ops, r, m), h),
+         (-q, ops.M[m], ops.M[r]), (q, ops.M[r], ops.M[m]),
+         (GaussRat(0, 4), ops.L(m, r), h)]).is_zero()
 
 
 def _c4_worst(ops, chains):
@@ -184,8 +230,22 @@ def test_applied_c4_detects_a_wrong_constant(unit_ops, unit_c4):
     is the sum of the unchanged chain list at the same points and jets."""
     chains = _c4_chains(unit_ops)
     (at,) = [n for n, c in enumerate(chains) if c[0] == 12]
-    assert chains[at][1] is unit_ops.T2 and chains[at][3] == 2
+    (factor,) = chains[at][1]
+    assert factor is unit_ops.T2 and chains[at][2] == 2
     chains[at] = (11.0, *chains[at][1:])
+    assert unit_c4 < 1e-10
+    assert _c4_worst(unit_ops, chains) > 1e-6
+
+
+def test_applied_c4_shared_images_see_a_wrong_factor(unit_ops, unit_c4):
+    """Chains that end in the same factors share their images, and that
+    hides no factor: putting Mt_3 + x_3 / 7 in place of every Mt_3 factor
+    of the chain list, and nowhere else, moves the residual far outside
+    the tolerance."""
+    bad = unit_ops.M[3] + unit_ops.x_op(3) * Fraction(1, 7)
+    chains = [(c, tuple(bad if op is unit_ops.M[3] else op for op in fs), k)
+              for c, fs, k in _c4_chains(unit_ops)]
+    assert sum(op is bad for _, fs, _ in chains for op in fs) > 25
     assert unit_c4 < 1e-10
     assert _c4_worst(unit_ops, chains) > 1e-6
 
@@ -198,10 +258,9 @@ def _d(*axes):
 
 
 @pytest.mark.parametrize("extra", [
-    lambda ops: (1000.0, ops.T2 @ OperatorExpr.from_scalar(
-        ScalarExpr.term(1, (2, 0, 0, 0, 0), rp=-1)) @ _d(0, 1, 2),
-        OperatorExpr.identity(), 0),
-    lambda ops: (1e-3, _d(0, 0, 1, 1), _d(2, 2, 3, 3), 0),
+    lambda ops: (1000.0, (ops.T2 @ OperatorExpr.from_scalar(
+        ScalarExpr.term(1, (2, 0, 0, 0, 0), rp=-1)) @ _d(0, 1, 2),), 0),
+    lambda ops: (1e-3, (_d(0, 0, 1, 1), _d(2, 2, 3, 3)), 0),
 ], ids=["order-3", "order-8"])
 def test_applied_c4_sees_every_derivative_order(unit_ops, extra):
     """f is seeded to full order 8, so a stray term of order 3, which a
