@@ -114,10 +114,13 @@ def _radial_problem(args) -> RadialProblem:
 
 
 def _cmd_radial(args) -> int:
-    problem = _radial_problem(args)
     solver = {"oscillator": solve_oscillator, "coulomb": solve_coulomb,
               "modified": solve_modified}[args.kind]
-    result = solver(problem, levels=args.levels)
+    try:
+        problem = _radial_problem(args)
+        result = solver(problem, levels=args.levels)
+    except ValueError as exc:  # RadialProblem's and the solvers' input checks
+        raise ConfigError(str(exc)) from None
     reference = {"oscillator": oscillator_level, "coulomb": coulomb_level,
                  "modified": None}[args.kind]
     rows = []

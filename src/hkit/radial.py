@@ -25,8 +25,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse, InterpolationFailure
 
@@ -184,6 +182,8 @@ def _auto_box(problem: RadialProblem, scaled_top: float) -> float:
 
 def _fd_eigen(lam: float, wfun, box: float, n: int, k: int):
     """Lowest k scaled eigenvalues and vectors of the reduced operator."""
+    from scipy.linalg import eigh_tridiagonal  # here, so only radial solves load scipy
+
     h = box / (n + 1)
     x = h * np.arange(1, n + 1)
     diag = 2.0 / (h * h) + lam / (x * x) + wfun(x)
@@ -218,8 +218,14 @@ class EigenResult:
     convergence: np.ndarray        # relative size of the Richardson correction
 
 
+def _check_levels(levels: int) -> None:
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
+
+
 def _solve(problem: RadialProblem, levels: int, refine: bool,
            rtol: float, scaled_top: float) -> EigenResult:
+    _check_levels(levels)
     lam = effective_lambda(problem.dim, problem.ell)
     wfun = _scaled_potential(problem)
     box = problem.box if problem.box is not None else _auto_box(problem, scaled_top)
@@ -278,6 +284,7 @@ def solve_coulomb(problem: RadialProblem, levels: int = 1, *,
     """Lowest `levels` bound Coulomb energies, near the inverse-square law."""
     if problem.kind != COULOMB:
         raise ValueError(f"need a coulomb problem, got {problem.kind!r}")
+    _check_levels(levels)  # coulomb_level(problem, -1) divides by zero at d = 3, l = 0
     top = coulomb_level(problem, levels - 1)
     scaled_top = 2 * problem.mass * top / problem.hbar ** 2
     return _solve(problem, levels, refine, rtol, scaled_top)
@@ -369,6 +376,62 @@ def duality_map(result: EigenResult, direction: str = "oscillator->coulomb") -> 
     raise ValueError(f"unknown direction {direction!r}")
 
 
+class _NotAKnotSpline:
+    """Not-a-knot cubic spline through (x, y) for strictly increasing x.
+
+    A step-by-step copy of ``scipy.interpolate.CubicSpline(x, y)`` on 1-D
+    float data with four or more points: the same tridiagonal system for
+    the knot slopes, solved by the same banded LAPACK call, the same
+    Hermite coefficients, and values and derivatives summed in the order
+    `PPoly` sums them.  So it returns the same bits without loading
+    scipy.interpolate.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        from scipy.linalg import solve_banded  # here, so only radial solves load scipy
+
+        n = x.size
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        ab = np.zeros((3, n))  # upper, main and lower diagonal
+        b = np.empty(n)
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[0, 2:] = dx[:-1]
+        ab[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+        ab[1, 0] = dx[1]
+        ab[0, 1] = d = x[2] - x[0]
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        ab[1, -1] = dx[-2]
+        ab[-1, -2] = d = x[-1] - x[-3]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        ds = solve_banded((1, 1), ab, b.reshape(n, 1), overwrite_ab=True,
+                          overwrite_b=True, check_finite=False).reshape(n)
+        t = (ds[:-1] + ds[1:] - 2 * slope) / dx
+        self.x = x
+        # per interval, the coefficients of s^3, s^2, s, 1 with s = x - x[i]
+        self.c = np.stack((t / dx, (slope - ds[:-1]) / dx - t, ds[:-1], y[:-1]))
+
+    def __call__(self, xq: np.ndarray, nu: int = 0) -> np.ndarray:
+        """Value (nu = 0) or derivative nu = 1, 2 of the spline at xq.
+
+        Each point is taken on the interval x[i] <= xq < x[i + 1], clamped
+        to the first and last interval, so x[-1] belongs to the last one.
+        """
+        x = self.x
+        i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+        s = xq - x[i]
+        c3, c2, c1, c0 = self.c[:, i]
+        if nu == 0:
+            return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+        if nu == 1:
+            return c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0
+        if nu == 2:
+            return c2 * 2.0 + c3 * s * 6.0
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {nu}")
+
+
 @dataclass(frozen=True)
 class SubstitutionResult:
     """Residual of a resampled oscillator eigenfunction in the dual equation."""
@@ -387,7 +450,9 @@ def substitution_residual_check(result: EigenResult, level: int = 0, *,
     """Resample a solved oscillator radial function onto r = u^2 and test it.
 
     The full radial function R(u) = u^{-(D-1)/2} chi(u) is interpolated
-    as a function of r = u^2 and inserted into the dual equation
+    as a function of r = u^2 by a not-a-knot cubic spline, which mirrors
+    ``scipy.interpolate.CubicSpline`` bit for bit, and inserted into the
+    dual equation
 
         R'' + (d-1)/r R' - l(l+d-2)/r^2 R + (2m/hbar^2)(eps + e2/r) R = 0
 
@@ -418,7 +483,7 @@ def substitution_residual_check(result: EigenResult, level: int = 0, *,
     if np.count_nonzero(mask) < 32:
         raise InterpolationFailure(
             f"window [{lo_u:.3g}, {hi_u:.3g}] holds too few grid points")
-    spline = CubicSpline(r, rad)
+    spline = _NotAKnotSpline(r, rad)
     rw = r[mask]
     s0 = spline(rw)
     s1 = spline(rw, 1)

@@ -431,13 +431,60 @@ def _c4_chains(ops: SymmetryOperators) -> list[tuple]:
     return [(float(c), factors, k) for c, factors, k in chains]
 
 
+def _segment_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries begins in the sorted key arrays."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(new)
+
+
+@dataclass(frozen=True)
+class _RowSums:
+    """A complex matrix as its entries, sorted by (row, col) with
+    duplicates summed, applied to a stack of rows x as M @ x by one
+    ``np.add.reduceat`` over the segments of the rows that hold entries.
+
+    ``rows`` lists those rows and ``starts`` where each one's segment
+    begins in ``cols`` and ``vals``.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    starts: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape: tuple[int, int]) -> "_RowSums":
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=complex)
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = _segment_starts(rows, cols)
+        if first.size:
+            vals = np.add.reduceat(vals, first)
+        rows, cols = rows[first], cols[first]
+        starts = _segment_starts(rows)
+        return cls(shape, rows[starts], starts, cols, vals)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.shape[0], x.shape[1]), dtype=complex)
+        if self.rows.size:  # no reduceat on an empty index array
+            out[self.rows] = np.add.reduceat(self.vals[:, None] * x[self.cols],
+                                             self.starts)
+        return out
+
+
 @dataclass(frozen=True)
 class _ChainPlan:
     """One operator laid out for jet chains.
 
-    ``coef`` is the sparse (key x term) matrix of its coefficients over the
-    term columns of the `_ChainPlans` that built it.  ``derivs`` lists its
-    distinct derivatives.  ``mix`` is a sparse (2 * 2 nd x key) matrix, nd
+    ``coef`` is the (key x term) `_RowSums` matrix of its coefficients over
+    the term columns of the `_ChainPlans` that built it.  ``derivs`` lists
+    its distinct derivatives.  ``mix`` is a (2 * 2 nd x key) `_RowSums`, nd
     = len(derivs): row s * 2 nd + b * nd + i sums, over the keys with
     derivative derivs[i], entry (s, b) of the key's word matrix times the
     key's row.  Applied to coefficient jets it folds the word matrices
@@ -445,8 +492,8 @@ class _ChainPlan:
     """
 
     order: int
-    coef: object
-    mix: object
+    coef: _RowSums
+    mix: _RowSums
     derivs: tuple
 
 
@@ -475,8 +522,6 @@ class _ChainPlans:
         return got[1]
 
     def _build(self, op: OperatorExpr) -> _ChainPlan:
-        from scipy.sparse import csr_matrix  # already loaded by radial
-
         column = self._column
         rows, cols, vals = [], [], []
         words, dsel, derivs = [], [], {}
@@ -493,14 +538,13 @@ class _ChainPlans:
                 cols.append(j)
                 vals.append(v.to_complex())
         n_keys, nd = len(words), len(derivs)
-        coef = csr_matrix((vals, (rows, cols)),
-                          shape=(n_keys, len(self.terms)), dtype=complex)
+        coef = _RowSums.from_entries(rows, cols, vals,
+                                     (n_keys, len(self.terms)))
         w = np.array(words, dtype=complex).reshape(n_keys, 2, 2)
         s, b, k = np.nonzero(w.transpose(1, 2, 0))
-        mix = csr_matrix(
-            (w[k, s, b], (s * 2 * nd + b * nd + np.array(dsel, dtype=int)[k],
-                          k)),
-            shape=(4 * nd, n_keys), dtype=complex)
+        mix = _RowSums.from_entries(
+            s * 2 * nd + b * nd + np.array(dsel, dtype=int)[k], k, w[k, s, b],
+            (4 * nd, n_keys))
         order = max((sum(d) for d in derivs), default=0)
         self.order = max(self.order, order)
         return _ChainPlan(order, coef, mix, tuple(derivs))
@@ -513,8 +557,8 @@ class _JetApplier:
     With lo the order asked for and hi = lo + the order of op, the jet of
     op(f) is a few array operations on op's plan:
 
-    - the coefficient jets of op at order lo are its sparse coefficient
-      matrix times the stacked jets of the plans' terms at this point, and
+    - the coefficient jets of op at order lo are its coefficient row sums
+      applied to the stacked jets of the plans' terms at this point, and
       its word mixer folds them into one jet a[s, b, d] per output
       component s, input component b and derivative d of op;
     - the jet of d^d f_b at order lo is gathered from f's jet at order hi
@@ -579,7 +623,7 @@ class _JetApplier:
         src = np.array([t[0] for t in tables], dtype=int).reshape(-1, lo.dim)
         scale = np.array([t[1] for t in tables]).reshape(-1, lo.dim)
         shifted = (fjet[:, src] * scale).reshape(-1, lo.dim)[:, lo.ib]
-        cj = pl.coef @ self.term_jets(order)[:pl.coef.shape[1]]
+        cj = pl.coef @ self.term_jets(order)
         a = (pl.mix @ cj).reshape(2, -1, lo.dim)
         out = np.empty((2, lo.dim), dtype=complex)
         for s in (0, 1):

@@ -91,6 +91,19 @@ def test_radial_modified_needs_coeffs(capsys):
     assert "--coeffs" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--n-points", "10"), "n_points must be at least 64"),
+    (("--omega", "-1"), "omega must be non-negative"),
+    (("--kind", "coulomb", "--e2", "0"), "coulomb coupling must be positive"),
+    (("--levels", "0"), "levels must be at least 1"),
+], ids=["n-points", "omega", "e2", "levels"])
+def test_radial_bad_input_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, "radial", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_radial_half_integer_l(capsys):
     code, out, _ = run(capsys, "radial", "--kind", "coulomb", "--l", "1/2",
                        "--levels", "1", "--format", "json")

@@ -6,11 +6,13 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hkit.errors import GridTooCoarse
 from hkit.radial import (
     RadialProblem,
+    _NotAKnotSpline,
     coulomb_level,
     duality_map,
     effective_lambda,
@@ -178,6 +180,34 @@ def test_substitution_residual_detects_wrong_energy():
     assert not wrong.passed
     assert wrong.rel_residual > 1e-3
     assert wrong.rel_residual > 100 * clean.rel_residual
+
+
+def _oscillator_r_grid():
+    osc = solve_oscillator(RadialProblem.oscillator(8, 0, 1.0), levels=1)
+    u = osc.grid
+    return u * u, osc.eigenvectors[:, 0] * u ** -3.5
+
+
+def _seeded_grid():
+    rng = np.random.default_rng(20240814)
+    x = np.cumsum(rng.uniform(0.01, 1.0, 257))
+    return x, np.sin(x) * rng.normal(size=x.size)
+
+
+@pytest.mark.parametrize("grid", [_oscillator_r_grid, _seeded_grid],
+                         ids=["oscillator-r", "seeded"])
+def test_spline_matches_scipy_cubic_spline(grid):
+    """The substitution check's spline returns the bits of
+    scipy.interpolate.CubicSpline, at both end knots, at interior knots
+    and between them, for the value and the first two derivatives."""
+    from scipy.interpolate import CubicSpline
+
+    x, y = grid()
+    ref, got = CubicSpline(x, y), _NotAKnotSpline(x, y)
+    mids = 0.5 * (x[:-1] + x[1:])
+    query = np.concatenate((x[[0, -1]], x[1:-1:5], mids[::7]))
+    for nu in (0, 1, 2):
+        assert np.array_equal(got(query, nu), ref(query, nu))
 
 
 # ----- modified potentials -----------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Suite orchestration: the worker pool behind jobs > 1."""
+"""Suite orchestration: the worker pool behind jobs > 1, and the libraries
+a run loads."""
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -116,3 +119,38 @@ def test_failed_exact_casimir_row_is_valid_json(monkeypatch):
     assert c2["passed"] is False
     assert c2["residual"] is None
     assert doc["summary"]["failed"] == 1
+
+
+_IMPORT_PROBE = """
+import json
+import sys
+import hkit.cli
+from hkit.config import SuiteConfig
+from hkit.suites import run_suite
+
+def scipy_modules():
+    return json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+run_suite(SuiteConfig(suites=("algebra", "casimir")))
+print(scipy_modules())
+run_suite(SuiteConfig(suites=("radial",)))
+print(scipy_modules())
+"""
+
+
+def test_only_the_radial_solver_loads_scipy():
+    """A fresh process that imports the CLI and runs algebra and casimir
+    loads no scipy module; the radial suite then loads scipy.linalg, and
+    neither scipy.interpolate nor scipy.sparse."""
+    src = str(Path(suites.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300).stdout.splitlines()
+    assert json.loads(out[0]) == []
+    after_radial = json.loads(out[1])
+    assert "scipy.linalg" in after_radial
+    assert not [m for m in after_radial
+                if m.startswith(("scipy.interpolate", "scipy.sparse"))]

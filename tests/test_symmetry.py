@@ -23,6 +23,7 @@ from hkit.symmetry import (
     _c4_values,
     _JetApplier,
     _perm_sign,
+    _RowSums,
     _so51_generator,
     build_operators,
     c4_applied_residual,
@@ -151,6 +152,26 @@ CHAINS = {
     "L13L32-minus2H": lambda ops: (ops.L(1, 3) @ ops.L(3, 2), ops.minus_2H),
     "M2-M3M0": lambda ops: (ops.M[2], ops.M[3], ops.M[0]),
 }
+
+
+def test_row_sums_match_a_dense_product():
+    """Row sums with empty rows, repeated (row, col) entries and explicit
+    zeros give the dense M @ x; no entries at all give zeros of the right
+    shape."""
+    rng = np.random.default_rng(20240814)
+    rows = np.array([0, 0, 2, 2, 2, 5, 5, 0, 2])
+    cols = np.array([3, 1, 0, 3, 0, 2, 2, 3, 4])
+    vals = rng.normal(size=9) + 1j * rng.normal(size=9)
+    vals[[2, 8]] = 0
+    dense = np.zeros((7, 5), dtype=complex)
+    np.add.at(dense, (rows, cols), vals)
+    x = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    m = _RowSums.from_entries(rows, cols, vals, (7, 5))
+    assert list(m.rows) == [0, 2, 5] and len(m.vals) == 6
+    assert np.allclose(m @ x, dense @ x, rtol=1e-14, atol=1e-14)
+    empty = _RowSums.from_entries([], [], [], (3, 5))
+    got = empty @ x
+    assert got.shape == (3, 4) and not got.any()
 
 
 def _sample_f():
