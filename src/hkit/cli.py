@@ -5,8 +5,11 @@ Subcommands:
     transform   map rational points and print images with identity defects
     radial      solve a radial eigenproblem and tabulate the spectrum
     spectrum    exact bound-state table from the symmetry labels
-    verify      run one verification suite (or all) and report
     report      run the configured suites and emit the full report
+
+`hkit report` is the one run command for the verification suites:
+`--suites` picks a subset, and `--config` sets units, tolerances and
+grids such as the charge quadrature nodes.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 configuration or
 usage error.
@@ -20,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .config import SUITES, SuiteConfig, load_config, config_echo
+from .config import SuiteConfig, load_config
 from .errors import (
     BadDimension,
     ConfigError,
@@ -37,13 +40,10 @@ from .radial import (
     solve_modified,
     solve_oscillator,
 )
-from .report import build_report, emit_report, exit_code
+from .report import emit_report, exit_code
 from .spectrum import energy_levels
-from .suites import relation_row, run_suite
-from .symmetry import RELATION_NAMES, build_operators
+from .suites import run_suite
 from .transforms import MAP_DIMS, euler_defect, transform_map
-
-VERIFY_CHOICES = SUITES + ("all",)
 
 
 def _fraction(text: str) -> Fraction:
@@ -55,13 +55,6 @@ def _fraction(text: str) -> Fraction:
 
 def _fraction_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_fraction(part) for part in text.split(","))
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -162,7 +155,10 @@ def _cmd_radial(args) -> int:
 # ----- spectrum -------------------------------------------------------------
 
 def _cmd_spectrum(args) -> int:
-    params = UnitParams(hbar=args.hbar, mu0=args.mu0, e2=args.e2)
+    try:
+        params = UnitParams(hbar=args.hbar, mu0=args.mu0, e2=args.e2)
+    except ValueError as exc:  # UnitParams' positivity check
+        raise ConfigError(str(exc)) from None
     levels = energy_levels(args.T, args.levels, params)
     rows = []
     for lv in levels:
@@ -188,54 +184,17 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-# ----- verify / report ------------------------------------------------------
-
-def _load(args, suites=None) -> SuiteConfig:
-    overrides = {"seed": args.seed, "jobs": args.jobs}
-    if suites is not None:
-        overrides["suites"] = suites
-    if getattr(args, "nodes", None) is not None:
-        overrides["charge_nodes"] = args.nodes
-    if getattr(args, "radius", None) is not None:
-        overrides["charge_radius"] = args.radius
-    return load_config(args.config, overrides)
-
-
-def _cmd_verify(args) -> int:
-    cfg = _load(args, (args.suite,))
-    if args.relation is not None:
-        if args.suite != "algebra":
-            raise ConfigError("--relation only applies to the algebra suite")
-        if args.relation not in RELATION_NAMES:
-            raise ConfigError(f"unknown relation {args.relation!r}; expected "
-                              f"one of {', '.join(RELATION_NAMES)}")
-        ops = build_operators(UnitParams(cfg.hbar, cfg.mu0, cfg.e2))
-        report = build_report([relation_row(ops, args.relation)],
-                              config_echo(cfg), __version__)
-    else:
-        report = run_suite(cfg)
-    _write(emit_report(report, args.format), args.out)
-    return exit_code(report)
-
+# ----- report ---------------------------------------------------------------
 
 def _cmd_report(args) -> int:
-    cfg = _load(args, args.suites)
+    cfg = load_config(args.config, {"suites": args.suites, "seed": args.seed,
+                                    "jobs": args.jobs})
     report = run_suite(cfg)
     _write(emit_report(report, args.format), args.out)
     return exit_code(report)
 
 
 # ----- parser ---------------------------------------------------------------
-
-def _add_run_flags(sub, default_format: str) -> None:
-    sub.add_argument("--config", metavar="PATH",
-                     help="INI config file (sections: run, units, tolerances, grids)")
-    sub.add_argument("--seed", type=int, help="override the sampling seed")
-    sub.add_argument("--jobs", type=int, help="run suites in up to N worker processes")
-    sub.add_argument("--format", choices=("text", "json", "csv"),
-                     default=default_format)
-    sub.add_argument("--out", metavar="PATH", help="write output to a file")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -289,21 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", metavar="PATH")
     sp.set_defaults(func=_cmd_spectrum)
 
-    ve = subs.add_parser("verify", help="run one verification suite")
-    ve.add_argument("suite", choices=VERIFY_CHOICES)
-    ve.add_argument("--relation", metavar="NAME",
-                    help="check a single operator relation (algebra suite)")
-    ve.add_argument("--nodes", type=_int_list, metavar="N1,N2,N3,N4",
-                    help="charge quadrature nodes")
-    ve.add_argument("--radius", type=float, help="charge sphere radius")
-    _add_run_flags(ve, "text")
-    ve.set_defaults(func=_cmd_verify)
-
     re = subs.add_parser("report", help="run the configured suites")
     re.add_argument("--suites", type=lambda t: tuple(t.split(",")),
                     metavar="NAME,NAME,...",
                     help=f"subset of {', '.join(SuiteConfig().suites)} or all")
-    _add_run_flags(re, "json")
+    re.add_argument("--config", metavar="PATH",
+                    help="INI config file (sections: run, units, tolerances, grids)")
+    re.add_argument("--seed", type=int, help="override the sampling seed")
+    re.add_argument("--jobs", type=int, help="run suites in up to N worker processes")
+    re.add_argument("--format", choices=("text", "json", "csv"), default="json")
+    re.add_argument("--out", metavar="PATH", help="write output to a file")
     re.set_defaults(func=_cmd_report)
     return parser
 

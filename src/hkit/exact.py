@@ -156,18 +156,6 @@ class GaussRat:
             other = GaussRat.coerce(other)
         return self * other.inverse()
 
-    def conjugate(self) -> "GaussRat":
-        return GaussRat._make(self.a, -self.b, self.d)
-
-    @property
-    def is_real(self) -> bool:
-        return self.b == 0
-
-    def real_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} has a nonzero imaginary part")
-        return Fraction(self.a, self.d)
-
     def to_complex(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)
 

@@ -16,7 +16,6 @@ numerically at controlled tolerance.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import cos, pi, sin, sqrt
@@ -120,10 +119,9 @@ def chart_tau(chart: int):
 
 
 @lru_cache(maxsize=None)
-def vector_potential(a: int, chart: int = CHART_A, g=1):
-    """A^a_j = 2 i g t^a_jk x_k / (r (r + s x0)), s the chart sign."""
+def vector_potential(a: int, chart: int = CHART_A):
+    """A^a_j = 2 i t^a_jk x_k / (r (r + s x0)), s the chart sign."""
     tau = chart_tau(chart)
-    gq = GaussRat.coerce(Fraction(g) if not isinstance(g, int) else g)
     comps = []
     for j in range(5):
         acc = ScalarExpr.zero()
@@ -133,7 +131,7 @@ def vector_potential(a: int, chart: int = CHART_A, g=1):
                 mono = [0] * 5
                 mono[k] = 1
                 acc = acc + ScalarExpr.term(
-                    c * gq * GaussRat(0, 2), mono, rp=-1, ap=-1, chart=chart)
+                    c * GaussRat(0, 2), mono, rp=-1, ap=-1, chart=chart)
         comps.append(acc)
     return tuple(comps)
 

@@ -1,7 +1,9 @@
 """Small exact matrices over the Gaussian rationals.
 
-Matrices are tuples of tuples of GaussRat.  Only what the spin-1/2
-representation checks require: products, sums, scaling, commutators.
+Matrices are tuples of tuples of GaussRat, so == compares them entry by
+entry.  Only what the word oracle of `operators` and the spin-1/2 tests
+require: products, differences, scaling, commutators.  `hkit report`
+reaches them through `operators.word_matrix`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ def mmul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def madd(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def msub(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -37,15 +35,6 @@ def msub(a: Mat, b: Mat) -> Mat:
 def mscale(c, a: Mat) -> Mat:
     c = GaussRat.coerce(c) if not isinstance(c, GaussRat) else c
     return tuple(tuple(c * x for x in row) for row in a)
-
-
-def meq(a: Mat, b: Mat) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mzero(n: int, m: int | None = None) -> Mat:
-    m = n if m is None else m
-    return tuple(tuple(GR_ZERO for _ in range(m)) for _ in range(n))
 
 
 def meye(n: int) -> Mat:

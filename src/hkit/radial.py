@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -314,17 +313,6 @@ def solve_modified(problem: RadialProblem, levels: int = 1, *,
         problem = replace(problem, box=_auto_box(problem, scale * top))
     # box is set by now, so the top-energy argument below is never consulted
     return _solve(problem, levels, refine, rtol, 0.0)
-
-
-def modified_ansatz(c0: float, c1: float, E: float) -> tuple[float, float]:
-    """Dual (energy, coupling) of an oscillator-like level E with potential
-    c0 + c1 u^2 + (higher even powers): eps = -c1/4 and e2 = (E - c0)/4.
-
-    Exact on Fractions as well as floats; for the pure oscillator
-    (c0 = 0, c1 = m w^2 / 2) it reduces to eps = -m w^2 / 8, e2 = E/4.
-    """
-    quarter = Fraction(1, 4) if isinstance(E, (Fraction, int)) else 0.25
-    return -c1 * quarter, (E - c0) * quarter
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidQuantumNumbers, OrderingViolation
+from .exact import rational_sqrt
 from .params import UnitParams
 
 
@@ -34,17 +35,6 @@ def _half_integer(name: str, value) -> Fraction:
     if (2 * v).denominator != 1:
         raise InvalidQuantumNumbers(f"{name} must be a half-integer, got {v}")
     return v
-
-
-def _sqrt_fraction(v: Fraction) -> Fraction:
-    """Exact square root of a perfect-square rational."""
-    num = v.numerator
-    den = v.denominator
-    rn = int(num ** 0.5 + 0.5)
-    rd = int(den ** 0.5 + 0.5)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError(f"{v} is not a perfect square")
-    return Fraction(rn, rd)
 
 
 @dataclass(frozen=True)
@@ -178,34 +168,12 @@ def casimir_hamiltonian_residuals(T, N, params: UnitParams | None = None):
     tt = t * (t + 1)
     kepler = p.mu0 * p.e2 ** 2 / (2 * p.hbar ** 2 * (-eps))
     r2 = ev.c2 - (kepler + 2 * tt - 4)
-    r3 = ev.c3 - 48 * _sqrt_fraction(kepler) * tt
+    root = rational_sqrt(kepler)
+    if root is None:
+        raise ValueError(f"{kepler} is not a perfect square")
+    r3 = ev.c3 - 48 * root * tt
     r4 = ev.c4 - (ev.c2 ** 2 + 6 * ev.c2 - 4 * ev.c2 * tt - 12 * tt + 6 * tt ** 2)
     return r2, r3, r4
-
-
-def cleared_casimir_eigenvalues(T, N, params: UnitParams | None = None):
-    """Eigenvalues the cleared operator identities pin on the level (T, N).
-
-    The operator checks multiply the singular factors out: the quadratic
-    identity fixes K = mu0 e2^2/hbar^2 + (2 T(T+1) - 4)(-2 eps), the cubic
-    contraction built from the rescaled conserved vector fixes
-    96 mu0 e2 T(T+1) / hbar (independent of N: the rescaling absorbs one
-    factor of sqrt(-2 eps) sqrt(4 mu0), which exactly cancels N/2 + 2),
-    and the quartic identity fixes C4 (-2 eps)^2.  Each value here equals
-    the label-polynomial Casimir times its clearing factor.
-    """
-    p = params or UnitParams()
-    t = _half_integer("T", T)
-    eps = level_energy(t, N, p)
-    ev = casimir_eigenvalues(Fraction(N, 2), t, t)
-    tt = t * (t + 1)
-    m2eps = -2 * eps
-    k2 = p.mu0 * p.e2 ** 2 / p.hbar ** 2 + (2 * tt - 4) * m2eps
-    k3 = 96 * p.mu0 * p.e2 * tt / p.hbar
-    k4 = ev.c4 * m2eps ** 2
-    assert k2 == ev.c2 * m2eps
-    assert k3 == ev.c3 * 2 * p.mu0 * p.e2 / (p.hbar * (Fraction(N, 2) + 2))
-    return k2, k3, k4
 
 
 @dataclass(frozen=True)

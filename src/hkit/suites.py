@@ -69,7 +69,6 @@ from .spectrum import (
 )
 from .symmetry import (
     RELATION_NAMES,
-    SymmetryOperators,
     build_operators,
     casimir_check,
     verify_relation,
@@ -264,16 +263,14 @@ RELATION_ANCHORS = {
 }
 
 
-def relation_row(ops: SymmetryOperators, name: str) -> CheckReport:
-    """The algebra row of one bracket relation, checked on ``ops``."""
-    r = verify_relation(ops, name)
-    return CheckReport("algebra", name, RELATION_ANCHORS[name], MODE_EXACT,
-                       0.0 if r.passed else None, r.passed, r.detail)
-
-
 def run_algebra(cfg: SuiteConfig) -> list[CheckReport]:
     ops = build_operators(UnitParams(cfg.hbar, cfg.mu0, cfg.e2))
-    return [relation_row(ops, name) for name in RELATION_NAMES]
+    rows = []
+    for name in RELATION_NAMES:
+        r = verify_relation(ops, name)
+        rows.append(_exact("algebra", name, RELATION_ANCHORS[name], r.passed,
+                           r.detail))
+    return rows
 
 
 # ----- casimir --------------------------------------------------------------

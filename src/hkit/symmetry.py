@@ -502,15 +502,12 @@ class _ChainPlans:
 
     Every distinct coefficient term x^m r^k (r + s x0)^a of a planned
     operator owns one column, so one stack of term jets per point serves
-    all plans.  Those jets reach ``order``, the largest order of a planned
-    operator, or the order of an image asked for above it.  Plans are
-    keyed by operator identity and keep the operator alive, so an id
-    cannot be reused while its plan is cached.
+    all plans.  Plans are keyed by operator identity and keep the operator
+    alive, so an id cannot be reused while its plan is cached.
     """
 
     def __init__(self):
         self.terms: list[tuple] = []
-        self.order = 0
         self._column: dict[tuple, int] = {}
         self._plans: dict[int, tuple[OperatorExpr, _ChainPlan]] = {}
 
@@ -546,7 +543,6 @@ class _ChainPlans:
             s * 2 * nd + b * nd + np.array(dsel, dtype=int)[k], k, w[k, s, b],
             (4 * nd, n_keys))
         order = max((sum(d) for d in derivs), default=0)
-        self.order = max(self.order, order)
         return _ChainPlan(order, coef, mix, tuple(derivs))
 
 
@@ -576,39 +572,30 @@ class _JetApplier:
     `_ChainPlans` passed in, one check in `_c4_values`; the term jets and
     images live as long as the applier, one point.  Jet spaces and shift
     tables are cached per order for the process.
+
+    The term jets of every column the plans hold when the applier is made
+    are computed there, once, at ``order``: no image can be taken above
+    it, and no plan that adds a term column afterwards can be applied.
     """
 
-    def __init__(self, p: Point5, plans: _ChainPlans | None = None):
-        self.p = p
-        self.plans = _ChainPlans() if plans is None else plans
-        self._tjets: dict[int, np.ndarray] = {}
-        self._tjets_for = None
+    def __init__(self, p: Point5, plans: _ChainPlans, order: int):
+        self.plans = plans
+        self.order = order
+        pj = PointJet(p, order)
+        self._tjets = np.array([pj.term(*t) for t in plans.terms],
+                               dtype=complex).reshape(len(plans.terms),
+                                                      pj.space.dim)
         self._images: dict[tuple, np.ndarray] = {}
         self._inputs: dict[int, np.ndarray] = {}
 
     def term_jets(self, order: int) -> np.ndarray:
-        """Jets of every planned term at order, one row per term column.
-
-        They are computed once at the plans' top order, or at order if
-        that is higher; a lower order is a prefix of each row, because
-        jets are sorted by degree.  A new term column or a higher order
-        computes them again.
-        """
-        plans = self.plans
-        top = max(plans.order, order)
-        held = self._tjets_for
-        if held is None or held[0] != len(plans.terms) or held[1] < top:
-            pj = PointJet(self.p, top)
-            self._tjets = {top: np.array(
-                [pj.term(*t) for t in plans.terms],
-                dtype=complex).reshape(len(plans.terms), pj.space.dim)}
-            self._tjets_for = held = (len(plans.terms), top)
-        got = self._tjets.get(order)
-        if got is None:
-            full = self._tjets[held[1]]
-            got = np.ascontiguousarray(full[:, :_JetSpace.get(order).dim])
-            self._tjets[order] = got
-        return got
+        """Jets of every planned term at order, one row per term column:
+        a prefix of each row computed at the applier's order, because jets
+        are sorted by degree."""
+        if order > self.order:
+            raise ValueError(f"term jets were computed at order {self.order}, "
+                             f"not {order}")
+        return self._tjets[:, :_JetSpace.get(order).dim]
 
     def image(self, op: OperatorExpr, fjet: np.ndarray,
               order: int) -> np.ndarray:
@@ -617,13 +604,13 @@ class _JetApplier:
         fjet has shape (2, dim) at order plus the order of op, or higher.
         """
         pl = self.plans.get(op)
+        cj = pl.coef @ self.term_jets(order)
         lo = _JetSpace.get(order)
         hi = _JetSpace.get(order + pl.order)
         tables = [shift_table(hi, lo, d) for d in pl.derivs]
         src = np.array([t[0] for t in tables], dtype=int).reshape(-1, lo.dim)
         scale = np.array([t[1] for t in tables]).reshape(-1, lo.dim)
         shifted = (fjet[:, src] * scale).reshape(-1, lo.dim)[:, lo.ib]
-        cj = pl.coef @ self.term_jets(order)
         a = (pl.mix @ cj).reshape(2, -1, lo.dim)
         out = np.empty((2, lo.dim), dtype=complex)
         for s in (0, 1):
@@ -660,11 +647,11 @@ def _c4_values(ops: SymmetryOperators, chains: list[tuple],
     f1 = (-2H) f at order 6 and f2 = (-2H) f1 at order 4 come from the same
     plan set as the chains.  f1 is the first image at each point and no
     chain asks for a higher one (an Mt under three outer factors is also
-    taken at order 6), so the term jets are computed once per point, at
-    order 6.  All plans are built before the first point, so no term
-    column is added after that, and dropped when this returns; each point
-    gets its own applier, so its term jets and memoized images are freed
-    before the next point's are made.
+    taken at order 6), so each point's applier computes the term jets
+    once, at order 6.  All plans are built before the first applier and
+    dropped when this returns; each point gets its own applier, so its
+    term jets and memoized images are freed before the next point's are
+    made.
     """
     plans = _ChainPlans()
     plans.get(ops.minus_2H)
@@ -673,7 +660,7 @@ def _c4_values(ops: SymmetryOperators, chains: list[tuple],
             plans.get(op)
     vals = np.zeros((len(points), 2), dtype=complex)
     for n, (pt, f) in enumerate(zip(points, jets)):
-        ja = _JetApplier(pt, plans)
+        ja = _JetApplier(pt, plans, 6)
         f1 = ja.image(ops.minus_2H, f, 6)
         fk = (f, f1, ja.image(ops.minus_2H, f1, 4))
         for coef, factors, k in chains:

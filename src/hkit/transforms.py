@@ -15,7 +15,6 @@ and `matrix_vs_map_audit` reports exactly where the two disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import atan2, cos, pi, sin, sqrt
 
 from .errors import BadDimension, UndefinedAngle, ZeroRadius
@@ -188,24 +187,6 @@ def _fold(value: float, period: float) -> float:
     return 0.0 if out >= period else out
 
 
-def body_angles(u) -> AngleTriple:
-    """Euler angles of the first quaternion block of u in R^8.
-
-    alpha in [0, 2 pi), beta in [0, pi], gamma in [0, 4 pi).
-    """
-    u0, u1, u2, u3 = (float(v) for v in u[:4])
-    rho1 = sqrt(u0 * u0 + u1 * u1)
-    rho2 = sqrt(u2 * u2 + u3 * u3)
-    if rho1 == 0.0 or rho2 == 0.0:
-        raise UndefinedAngle("a plane radius vanishes; phases are undefined")
-    phi1 = atan2(u1, u0)
-    phi2 = atan2(u3, u2)
-    alpha = _fold(phi2 - phi1, 2 * pi)
-    beta = 2 * atan2(rho1, rho2)
-    gamma = _fold(phi1 + phi2, 4 * pi)
-    return AngleTriple(alpha, beta, gamma)
-
-
 def space_angles(x) -> AngleTriple:
     """Euler angles of a base point from its four transverse coordinates.
 
@@ -279,30 +260,3 @@ def inverse_jacobian(h: HyperSpherical):
         [0.0, -r * st * sb * cm / 2, r * st * sb * sm / 2,
          r * st * cb * cp / 2, -r * st * cb * sp / 2],
     ]
-
-
-def fiber_rotate(u, delta: float):
-    """The circle action on R^8 that fixes the base point.
-
-    Planes (u0,u1), (u2,u3) and (u6,u7) turn by +delta, (u4,u5) by -delta;
-    the image x is unchanged and gamma of the first block advances by
-    2 delta.
-    """
-    u = [float(v) for v in u]
-    c, s = cos(delta), sin(delta)
-    out = list(u)
-    for (i, j), sign in (((0, 1), 1), ((2, 3), 1), ((4, 5), -1), ((6, 7), 1)):
-        cs, sn = c, sign * s
-        out[i] = cs * u[i] - sn * u[j]
-        out[j] = sn * u[i] + cs * u[j]
-    return tuple(out)
-
-
-def rational_base_point(u):
-    """Exact base point with exactly rational radius, via the map.
-
-    Any rational u works because |x| = |u|^2.
-    """
-    uq = [Fraction(v) for v in u]
-    x = hurwitz_map(uq)
-    return x, sum(v * v for v in uq)

@@ -140,10 +140,19 @@ def test_spectrum_bad_label(capsys):
     assert "error:" in err
 
 
-# ----- verify / report -----------------------------------------------------------
+@pytest.mark.parametrize("flag,value", [("--e2", "0"), ("--hbar", "-1"),
+                                        ("--mu0", "0")])
+def test_spectrum_bad_units_exit_2(capsys, flag, value):
+    code, out, err = run(capsys, "spectrum", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be positive" in err
+
+
+# ----- report --------------------------------------------------------------------
 
 def test_verify_euler_json(capsys):
-    code, out, _ = run(capsys, "verify", "euler", "--format", "json")
+    code, out, _ = run(capsys, "report", "--suites", "euler")
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["failed"] == 0
@@ -151,19 +160,9 @@ def test_verify_euler_json(capsys):
     assert doc["config"]["suites"] == ["euler"]
 
 
-def test_verify_single_relation(capsys):
-    code, out, _ = run(capsys, "verify", "algebra", "--relation", "pi-x",
-                       "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert len(doc["rows"]) == 1
-    assert doc["rows"][0]["relation"] == "pi-x"
-    assert doc["rows"][0]["passed"] is True
-
-
 @pytest.mark.parametrize("suite", ["spectrum", "radial"])
 def test_verify_reaches_spectrum_and_radial(capsys, suite):
-    code, out, _ = run(capsys, "verify", suite, "--format", "json")
+    code, out, _ = run(capsys, "report", "--suites", suite)
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["failed"] == 0
@@ -172,38 +171,40 @@ def test_verify_reaches_spectrum_and_radial(capsys, suite):
     assert doc["config"]["suites"] == [suite]
 
 
-def test_verify_relation_requires_algebra(capsys):
-    code, _, err = run(capsys, "verify", "euler", "--relation", "pi-x")
-    assert code == 2
-    assert "algebra" in err
-
-
-def test_verify_unknown_relation(capsys):
-    code, _, err = run(capsys, "verify", "algebra", "--relation", "x-x")
-    assert code == 2
-    assert "unknown relation" in err
-
-
 def test_verify_unknown_suite(capsys):
+    code, _, err = run(capsys, "report", "--suites", "bogus")
+    assert code == 2
+    assert "unknown suite" in err
+
+
+def test_verify_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "bogus"])
+        main(["verify", "euler"])
     assert exc.value.code == 2
 
 
-def test_verify_charge_flags(capsys):
-    code, out, _ = run(capsys, "verify", "charge", "--nodes", "8,8,6,6",
-                       "--radius", "2.0", "--format", "json")
+def _grids(tmp_path, body):
+    path = tmp_path / "grids.ini"
+    path.write_text("[grids]\n" + body)
+    return str(path)
+
+
+def test_verify_charge_flags(capsys, tmp_path):
+    config = _grids(tmp_path, "charge_nodes = 8,8,6,6\ncharge_radius = 2.0\n")
+    code, out, _ = run(capsys, "report", "--suites", "charge",
+                       "--config", config)
     doc = json.loads(out)
     assert doc["config"]["charge_nodes"] == [8, 8, 6, 6]
     assert doc["config"]["charge_radius"] == 2.0
     assert code == 0
 
 
-def test_verify_charge_below_exact_nodes_reports_truncation(capsys):
+def test_verify_charge_below_exact_nodes_reports_truncation(capsys, tmp_path):
     """One theta node is below EXACT_NODES: the run completes, and the
     node-doubling row carries a nonzero truncation estimate and fails."""
-    code, out, _ = run(capsys, "verify", "charge", "--nodes", "1,16,8,8",
-                       "--format", "json")
+    config = _grids(tmp_path, "charge_nodes = 1,16,8,8\n")
+    code, out, _ = run(capsys, "report", "--suites", "charge",
+                       "--config", config)
     doc = json.loads(out)
     assert doc["config"]["charge_nodes"] == [1, 16, 8, 8]
     rows = {r["relation"]: r for r in doc["rows"]}
@@ -227,19 +228,20 @@ def test_report_spectrum_deterministic(capsys):
 
 def test_env_seed_flows_into_echo(capsys, monkeypatch):
     monkeypatch.setenv("HKIT_SEED", "321")
-    _, out, _ = run(capsys, "verify", "euler", "--format", "json")
+    _, out, _ = run(capsys, "report", "--suites", "euler")
     assert json.loads(out)["config"]["seed"] == 321
 
 
 def test_flag_beats_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("HKIT_SEED", "321")
-    _, out, _ = run(capsys, "verify", "euler", "--format", "json",
+    _, out, _ = run(capsys, "report", "--suites", "euler",
                     "--seed", "7")
     assert json.loads(out)["config"]["seed"] == 7
 
 
 def test_missing_config_file(capsys):
-    code, _, err = run(capsys, "verify", "euler", "--config", "/no/such.ini")
+    code, _, err = run(capsys, "report", "--suites", "euler",
+                         "--config", "/no/such.ini")
     assert code == 2
     assert "not found" in err
 
@@ -273,7 +275,7 @@ def test_config_file_suites(capsys, tmp_path):
 
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
-    code, out, _ = run(capsys, "verify", "euler", "--format", "json",
+    code, out, _ = run(capsys, "report", "--suites", "euler",
                        "--out", str(target))
     assert code == 0
     assert out == ""
@@ -282,6 +284,7 @@ def test_out_writes_file(capsys, tmp_path):
 
 
 def test_verify_text_summary_line(capsys):
-    code, out, _ = run(capsys, "verify", "casimir")
+    code, out, _ = run(capsys, "report", "--suites", "casimir",
+                         "--format", "text")
     assert code == 0
     assert "checks passed" in out.splitlines()[-1]

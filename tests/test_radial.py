@@ -16,7 +16,6 @@ from hkit.radial import (
     coulomb_level,
     duality_map,
     effective_lambda,
-    modified_ansatz,
     oscillator_level,
     solve_coulomb,
     solve_modified,
@@ -231,17 +230,6 @@ def test_modified_quartic_levels_ordered():
     assert vals[0] > 4.0  # quartic term raises every level
     for c in res.convergence:
         assert c < 1e-4
-
-
-def test_modified_ansatz_exact():
-    eps, e2 = modified_ansatz(Fraction(0), Fraction(1, 2), Fraction(4))
-    assert eps == Fraction(-1, 8)
-    assert e2 == Fraction(1)
-    eps, e2 = modified_ansatz(Fraction(4), Fraction(1, 2), Fraction(4))
-    assert e2 == 0
-    eps_f, e2_f = modified_ansatz(0.0, 0.5, 4.0)
-    assert eps_f == pytest.approx(-0.125)
-    assert e2_f == pytest.approx(1.0)
 
 
 def test_radial_runtime_budget():

@@ -21,6 +21,7 @@ from hkit.symmetry import (
     _c4_chains,
     _c4_e0,
     _c4_values,
+    _ChainPlans,
     _JetApplier,
     _perm_sign,
     _RowSums,
@@ -200,7 +201,10 @@ def test_jet_chain_matches_symbolic_application(unit_ops, chart, name):
     want = f
     for op in reversed(factors):
         want = apply(op, want)
-    ja, fjet = _JetApplier(p), _jet(p, f, 8)
+    plans = _ChainPlans()
+    order = sum(plans.get(op).order for op in factors[:-1])
+    plans.get(factors[-1])
+    ja, fjet = _JetApplier(p, plans, order), _jet(p, f, 8)
     got = tuple(ja.chain(factors, fjet))
     assert got == pytest.approx(want.evaluate(p), rel=1e-9)
     assert tuple(ja.chain(factors, 2 * fjet)) == pytest.approx(
@@ -208,20 +212,23 @@ def test_jet_chain_matches_symbolic_application(unit_ops, chart, name):
 
 
 def test_jet_image_above_the_plans_order(unit_ops):
-    """An image asked for above the order its plans were built at, or
-    above the order of the term jets computed so far, computes the term
-    jets again at that order and then serves lower orders from them,
-    instead of reading term jets that are too short."""
+    """The term jets are computed once, at the applier's order, above the
+    order of the plan: images at that order and below are served from
+    prefixes of them, and an image asked for above it raises instead of
+    reading term jets that are too short."""
     f, p = _sample_f(), c4_test_points()[1]
     want = apply(unit_ops.M[0], f)
-    ja = _JetApplier(p)
-    assert ja.plans.get(unit_ops.M[0]).order == 2 == ja.plans.order
+    plans = _ChainPlans()
+    assert plans.get(unit_ops.M[0]).order == 2
+    ja = _JetApplier(p, plans, 6)
     fjet = _jet(p, f, 8)
     for order in (2, 6, 3):
         got = ja.image(unit_ops.M[0], fjet, order)
         assert got.shape == (2, PointJet(p, order).space.dim)
         assert got == pytest.approx(_jet(p, want, order), rel=1e-9,
                                     abs=1e-12)
+    with pytest.raises(ValueError, match="order 6, not 7"):
+        ja.image(unit_ops.M[0], fjet, 7)
 
 
 @pytest.mark.parametrize("params", [UnitParams(), SCALED],

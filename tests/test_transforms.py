@@ -1,4 +1,4 @@
-"""Bilinear maps, their matrices, fiber angles, and hyperspherical charts."""
+"""Bilinear maps, their matrices, and hyperspherical charts."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from hkit.errors import BadDimension, UndefinedAngle, ZeroRadius
 from hkit.transforms import (
-    body_angles,
     euler_defect,
-    fiber_rotate,
     h_matrix,
     h_matrix_orthogonality_check,
     hurwitz_map,
@@ -24,7 +22,6 @@ from hkit.transforms import (
     kustaanheimo_stiefel_map,
     levi_civita_map,
     matrix_vs_map_audit,
-    rational_base_point,
     space_angles,
 )
 
@@ -69,14 +66,6 @@ def test_ks_fourth_row_dropped():
         assert len(kustaanheimo_stiefel_map(u)) == 3
 
 
-def test_rational_base_point():
-    u = [Fraction(1, 2), Fraction(1, 3), 0, 0, 1, 0, 0, 2]
-    xs, r = rational_base_point(u)
-    assert xs == hurwitz_map(u)
-    assert r == sum(Fraction(c) ** 2 for c in u)
-    assert sum(c * c for c in xs) == r * r
-
-
 # ----- matrices ---------------------------------------------------------------
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -114,71 +103,6 @@ def test_display_audit_is_frozen():
     assert audit["head_matches"] == [True, False, False, False, False]
     assert audit["tail_vanishes"] is True
     assert audit["all_match"] is False
-
-
-# ----- fiber angles -----------------------------------------------------------
-
-def _phase_ratio_alpha(u):
-    a, b = complex(u[0], u[1]), complex(u[2], u[3])
-    return (a * b.conjugate()) / (a.conjugate() * b)
-
-
-def _phase_ratio_gamma(u):
-    a, b = complex(u[0], u[1]), complex(u[2], u[3])
-    return (a.conjugate() * b.conjugate()) / (a * b)
-
-
-def test_body_angles_spot_values():
-    sym = body_angles([1, 0, 1, 0, 0, 0, 0, 0])
-    assert sym.alpha == pytest.approx(0.0, abs=1e-14)
-    assert sym.beta == pytest.approx(math.pi / 2, abs=1e-14)
-    assert sym.gamma == pytest.approx(0.0, abs=1e-14)
-
-    # The defining logarithm, not the printed expectation: the phase of
-    # (u0+iu1) is pi/2 ahead here, so alpha folds to 3 pi / 2.
-    skew = body_angles([0, 1, 1, 0, 0, 0, 0, 0])
-    assert skew.alpha == pytest.approx(3 * math.pi / 2, abs=1e-12)
-    assert skew.beta == pytest.approx(math.pi / 2, abs=1e-14)
-
-
-@settings(max_examples=120)
-@given(u=st.lists(st.floats(-2, 2), min_size=8, max_size=8))
-def test_body_angles_solve_their_logarithms(u):
-    """exp(-2i alpha) and exp(-2i gamma) reproduce the defining ratios,
-    whatever branch the fold into range picked."""
-    if math.hypot(u[0], u[1]) < 0.2 or math.hypot(u[2], u[3]) < 0.2:
-        return
-    ang = body_angles(u)
-    assert 0 <= ang.alpha < 2 * math.pi
-    assert 0 <= ang.beta <= math.pi
-    assert 0 <= ang.gamma < 4 * math.pi
-    assert cmath.exp(-2j * ang.alpha) == pytest.approx(
-        _phase_ratio_alpha(u), abs=1e-9)
-    assert cmath.exp(-2j * ang.gamma) == pytest.approx(
-        _phase_ratio_gamma(u), abs=1e-9)
-    ratio = (u[0] ** 2 + u[1] ** 2) / (u[2] ** 2 + u[3] ** 2)
-    assert math.tan(ang.beta / 2) ** 2 == pytest.approx(ratio, rel=1e-9)
-
-
-def test_body_angles_undefined():
-    with pytest.raises(UndefinedAngle):
-        body_angles([1, 1, 0, 0, 0, 0, 0, 0])
-
-
-def test_fiber_rotation_fixes_base_point():
-    u = [0.3, -1.2, 0.8, 0.5, 1.1, -0.4, 0.2, 0.9]
-    x = hurwitz_map(u)
-    for delta in (0.3, 1.7, 2.9, -0.8):
-        moved = fiber_rotate(u, delta)
-        x2 = hurwitz_map(moved)
-        assert max(abs(a - b) for a, b in zip(x, x2)) < 1e-12
-        before = body_angles(u)
-        after = body_angles(moved)
-        # the independent folds of the two phases can add a joint 2 pi,
-        # so the advance is pinned modulo 2 pi only
-        advance = (after.gamma - before.gamma - 2 * delta) % (2 * math.pi)
-        assert min(advance, 2 * math.pi - advance) < 1e-10
-        assert abs(after.alpha - before.alpha) < 1e-10
 
 
 # ----- hyperspherical chart ----------------------------------------------------
