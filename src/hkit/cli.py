@@ -58,11 +58,16 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _write(text: str, out: str | None) -> None:
+    """Write to stdout, or to the file ``out``; a path that cannot be
+    written is a usage error (exit 2), not a failed check."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 # ----- transform ------------------------------------------------------------

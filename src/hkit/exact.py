@@ -24,9 +24,11 @@ over one common denominator, with every term key packed into one int (see
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ChartMismatch, ExponentRange, SingularPoint
 
@@ -284,12 +286,236 @@ def unpack_key(p: int) -> TermKey:
     return key
 
 
-# is_zero's keys: (m0..m4, rp) in unsigned 10-bit fields, rp on top.
-_Z_RSHIFT = 50
-_Z_XALL = sum(1 << (10 * i) for i in range(5))
-_Z_X0_NOT_R = 1 - (1 << _Z_RSHIFT)
-_Z_R2 = 2 << _Z_RSHIFT
-_Z_R2_TO_X2 = tuple((2 << (10 * i)) - _Z_R2 for i in range(5))
+# ----- term tables ----------------------------------------------------------
+#
+# A term table holds the terms of one or more expressions ("segments") as
+# flat numpy arrays: seg, the segment of each term, in non-decreasing order;
+# tk, its packed key; and re, im, its Gaussian-integer numerator over one
+# denominator shared by the table, which the kernels never need.  The
+# numerators are int64 when a bound proves that every value a kernel forms
+# from them stays below 2^62 in magnitude, and Python ints (dtype=object)
+# otherwise; both run the same numpy calls.  Each bound is an l1 bound:
+# the sum of |re| + |im| over everything that can flow into one segment,
+# times the largest factor a kernel step applies.  It is evaluated in
+# float64, whose relative error on these sums and products is below 1e-9,
+# far inside the factor 2 between 2^62 and the int64 limit 2^63.
+
+_INT64_SAFE = float(1 << 62)
+_ER = 1 << 40  # one unit of the packed r exponent
+_EA = 1 << 48  # one unit of the packed axis exponent
+# Added to a packed key whose fields lie in [-128, 127], _BIAS makes every
+# field f + 128 in [0, 255], with no borrow between fields.
+_BIAS = sum(128 << (8 * j) for j in range(7))
+
+
+def int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or as Python ints if one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def widen(bound: float, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays unchanged if all are int64 and bound < 2^62, else as
+    Python ints."""
+    if bound < _INT64_SAFE and all(a.dtype != object for a in arrays):
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
+def l1_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """|re| + |im| per term, as float64."""
+    return np.abs(re).astype(float) + np.abs(im).astype(float)
+
+
+def ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, offset) over sum(counts) items: item k is number offset[k]
+    of group owner[k], groups in order, each counts[g] long."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+
+
+def key_fields(tk: np.ndarray) -> np.ndarray:
+    """The fields m0..m4, rp, ap of packed keys whose fields lie in
+    [-128, 127], as an (n, 7) int64 array."""
+    b = (tk + _BIAS).astype("<i8", copy=False).view(np.uint8)
+    return b.reshape(-1, 8)[:, :7].astype(np.int64) - 128
+
+
+def checked_fields(tk: np.ndarray) -> np.ndarray:
+    """key_fields, raising ExponentRange if one lies outside
+    [-EXP_LIMIT, EXP_LIMIT]."""
+    f = key_fields(tk)
+    if f.size and np.abs(f).max() > EXP_LIMIT:
+        k = int(np.flatnonzero((np.abs(f) > EXP_LIMIT).any(axis=1))[0])
+        raise ExponentRange(f"term {unpack_key(int(tk[k]))} has an exponent "
+                            f"outside [-{EXP_LIMIT}, {EXP_LIMIT}]")
+    return f
+
+
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of a begins."""
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+
+
+def pair_key(seg: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """One int64 per (seg, low) pair, ordered by seg first, for seg >= 0:
+    low less its minimum, which keeps distinct lows apart, below seg
+    shifted past it, or low's rank among the distinct lows where that
+    would not fit in 62 bits."""
+    if not seg.size:
+        return seg
+    lo = int(low.min())
+    bits = (int(low.max()) - lo).bit_length()
+    if int(seg.max()) >> (62 - bits):
+        low = np.unique(low, return_inverse=True)[1]
+        lo, bits = 0, int(low.max()).bit_length()
+    return (seg << bits) | (low - lo)
+
+
+def merge_terms(key, re, im, seg=None, order=None, pos=None, drop=True):
+    """Sum the terms of equal key, and drop the zero sums if ``drop``.
+
+    Returns (idx, re, im, first) per sum: idx the position in the input of
+    one of its terms, first the least ``pos`` of its terms, their positions
+    in the input if pos is None.  The sums come sorted by key if ``order``
+    is None.  Else key must order terms by their segment ``seg`` first
+    (see ``pair_key``), and each segment's sums come ordered by first:
+    with the segments ascending if ``order`` is "seg", and ordered by their
+    least first, over kept and dropped sums, if it is "first".
+    """
+    if not key.size:
+        none = np.zeros(0, dtype=np.intp)
+        return none, re, im, none
+    perm = np.argsort(key)
+    starts = run_starts(key[perm])
+    re = np.add.reduceat(re[perm], starts)
+    im = np.add.reduceat(im[perm], starts)
+    idx = perm[starts]
+    first = np.minimum.reduceat(perm if pos is None else pos[perm], starts)
+    keep = (np.flatnonzero((re != 0) | (im != 0)) if drop
+            else np.arange(starts.size))
+    if order is not None:
+        rank = seg[idx]
+        if order == "first":
+            gs = run_starts(rank)
+            rank = np.repeat(np.minimum.reduceat(first, gs),
+                             np.diff(np.append(gs, rank.size)))
+        keep = keep[np.argsort(rank[keep] * (int(first.max()) + 1)
+                               + first[keep])]
+    return idx[keep], re[keep], im[keep], first[keep]
+
+
+def diff_terms(seg, tk, re, im, sign, axis):
+    """d/dx_axis of every segment of a term table: (seg, tk, re, im), each
+    segment's terms in first-occurrence order.  ``sign`` is the chart sign
+    s and ``axis`` the axis i, both per term, so one call can take
+    derivatives along different axes in different segments.
+
+    d/dx_i is linear on terms, and a term x^m r^k (r + s x0)^a gives at most
+    three: m_i x^(m - e_i) r^k (r + s x0)^a, k x^(m + e_i) r^(k - 2) (r + s
+    x0)^a, and a s x^m r^(k - 1) (r + s x0)^a if i = 0, else a x^(m + e_i)
+    r^(k - 1) (r + s x0)^(a - 1).  Each is a fixed shift of the packed key
+    with an integer factor, so the derivative is one gather and one merge.
+    Exponents must lie in [-EXP_LIMIT, EXP_LIMIT] (ExponentRange
+    otherwise), so the new keys' fields stay in [-128, 127]; the l1 norm of
+    a segment's terms times their factors bounds every value its
+    derivative forms.
+    """
+    if not tk.size:
+        return seg, tk, re, im
+    f = checked_fields(tk)
+    ei = 1 << (8 * axis)
+    on0 = axis == 0
+    fac = np.stack([f[np.arange(tk.size), axis], f[:, 5],
+                    np.where(on0, f[:, 6] * sign, f[:, 6])], axis=1)
+    bound = np.bincount(seg, l1_norms(re, im) * np.abs(fac).sum(axis=1)).max()
+    step = np.stack([-ei, ei - 2 * _ER, np.where(on0, -_ER, ei - _ER - _EA)],
+                    axis=1)
+    hit = np.flatnonzero(fac)  # row-major: term by term, in that order
+    src, fac = hit // 3, fac.ravel()[hit]
+    seg, tk = seg[src], tk[src] + step.ravel()[hit]
+    re, im, fac = widen(bound, re, im, fac)
+    idx, re, im, _ = merge_terms(pair_key(seg, tk), re[src] * fac,
+                                 im[src] * fac, seg, "seg")
+    return seg[idx], tk[idx], re, im
+
+
+@lru_cache(maxsize=None)
+def _pascal(n: int) -> np.ndarray:
+    """Binomial coefficients C(k, j), k, j <= n: int64 up to n = 61, where
+    every one is below 2^62, and Python ints above."""
+    rows = [[comb(k, j) for j in range(n + 1)] for k in range(n + 1)]
+    return np.array(rows, dtype=np.int64 if n <= 61 else object)
+
+
+def nonzero_segments(seg, tk, re, im, sign) -> np.ndarray:
+    """The segments of a term table that are not zero in the ring, in
+    ascending order; seg must hold each segment's terms together.
+
+    Clears denominators once per segment: every term of a segment is
+    multiplied by x^k r^k' (r + s x0)^k'' so that no exponent is negative;
+    x_i, r and the axis factor are nonzero divisors, so this keeps zero and
+    nonzero apart.  The axis power is then expanded binomially and r^2 is
+    rewritten to x.x until every r-exponent is 0 or 1, for all segments at
+    once, on keys (m0..m4, rp) packed into one int with unsigned w-bit
+    fields, rp on top, so that an r^2 -> x.x step is one integer addition.
+    The monomials x^m r^(0 or 1) are a basis of the quotient, so a segment
+    is zero exactly when every numerator left in it is zero.  ``sign`` is
+    the chart sign s per term.
+
+    The rewrite goes by levels: each round rewrites the terms of the two
+    highest r-exponents, which nothing left can feed, and merges.
+
+    Exponents must lie in [-EXP_LIMIT, EXP_LIMIT] (ExponentRange
+    otherwise), so after the shift every m_i, rp and axis power n lies in
+    [0, 2 * EXP_LIMIT].  The expansion moves j units from the r field to
+    x0 and a rewrite moves 2 units from r to one x_i, so neither changes
+    the sum of a key's fields, and no field ever exceeds that sum's
+    starting value S <= 7 * 2 * EXP_LIMIT = 882; w is the bit length of S,
+    at most 10, so six fields fit in 60 bits.
+
+    The expansion multiplies a term's numerator by C(n, j), which sum to
+    2^n, and each of the at most rp'/2 rewrites of rp' = rp + n copies it
+    into five terms, so 2^n 5^(rp'/2) times its l1 norm bounds all that it
+    contributes; the sum of that over a segment bounds every value the
+    test forms there.
+    """
+    if not tk.size:
+        return seg
+    f = checked_fields(tk)
+    starts = run_starts(seg)
+    lo = np.minimum.reduceat(
+        np.column_stack([f[:, :5].min(axis=1), f[:, 5], f[:, 6]]), starts)
+    sh = np.repeat(np.maximum(-lo, 0), np.diff(np.append(starts, seg.size)),
+                   axis=0)
+    m = f[:, :5] + sh[:, :1]
+    n = f[:, 6] + sh[:, 2]
+    zr = f[:, 5] + sh[:, 1] + n
+    w = int((m.sum(axis=1) + zr).max()).bit_length()
+    bound = np.bincount(seg, l1_norms(re, im) * np.exp2(n)
+                        * 5.0 ** (zr // 2)).max()
+    # (r + s x0)^n = sum_j C(n, j) s^j x0^j r^(n - j)
+    owner, j = ragged(n + 1)
+    coef = _pascal(int(n.max()))[n[owner], j]
+    coef = np.where((sign[owner] < 0) & (j % 2 == 1), -coef, coef)
+    re, im, coef = widen(bound, re, im, coef)
+    z = (m @ (1 << (w * np.arange(5))))[owner] + j + ((zr[owner] - j) << (5 * w))
+    seg, re, im = seg[owner], re[owner] * coef, im[owner] * coef
+    steps = np.array([(2 << (w * k)) - (2 << (5 * w)) for k in range(5)])
+    while True:
+        idx, re, im, _ = merge_terms(pair_key(seg, z), re, im)
+        seg, z = seg[idx], z[idx]
+        r = z >> (5 * w)
+        top = int(r.max()) if r.size else 0
+        if top < 2:
+            return seg[run_starts(seg)] if seg.size else seg
+        hot, cold = r >= top - 1, r < top - 1
+        seg = np.concatenate([seg[cold], np.repeat(seg[hot], 5)])
+        z = np.concatenate([z[cold], (z[hot][:, None] + steps).ravel()])
+        re = np.concatenate([re[cold], np.repeat(re[hot], 5)])
+        im = np.concatenate([im[cold], np.repeat(im[hot], 5)])
 
 
 class ScalarExpr:
@@ -302,7 +528,7 @@ class ScalarExpr:
     (hence ``equals``) decides equality in the ring.
     """
 
-    __slots__ = ("_t", "chart", "_hash", "_dcache", "_iv")
+    __slots__ = ("_t", "chart", "_hash", "_dcache")
 
     def __init__(self, terms: dict[TermKey, GaussRat], chart: int = CHART_NONE):
         if not any(k[2] for k in terms):
@@ -313,7 +539,6 @@ class ScalarExpr:
         self.chart = chart
         self._hash = None
         self._dcache = {}
-        self._iv = None
 
     # ----- constructors -------------------------------------------------
 
@@ -369,19 +594,25 @@ class ScalarExpr:
     def is_structural_zero(self) -> bool:
         return not self._t
 
-    def int_view(self) -> tuple[int, list[tuple[int, int, int]]]:
-        """(D, [(pack_key(key), re, im), ...]), cached: the terms in order,
-        each coefficient as the Gaussian integer re + i*im over the common
-        denominator D of all coefficients."""
-        iv = self._iv
-        if iv is None:
-            t = self._t
-            if t:
-                check_exponents(t)
-            d = lcm(*(c.d for c in t.values()))
-            iv = self._iv = (d, [(pack_key(k), c.a * (d // c.d),
-                                  c.b * (d // c.d)) for k, c in t.items()])
-        return iv
+    def arrays(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """(D, tk, re, im): the terms in order as a one-segment term table,
+        packed keys and Gaussian-integer numerators over the common
+        denominator D of all coefficients.  Raises ExponentRange if an
+        exponent lies outside [-EXP_LIMIT, EXP_LIMIT]."""
+        t = self._t
+        if t:
+            check_exponents(t)
+        d = lcm(*(c.d for c in t.values()))
+        return (d, np.array([pack_key(k) for k in t], dtype=np.int64),
+                int_array([c.a * (d // c.d) for c in t.values()]),
+                int_array([c.b * (d // c.d) for c in t.values()]))
+
+    @staticmethod
+    def from_arrays(den: int, tk, re, im, chart: int) -> "ScalarExpr":
+        """The expression of a one-segment term table over denominator den."""
+        make = GaussRat._make
+        return ScalarExpr({unpack_key(k): make(a, b, den) for k, a, b in
+                           zip(tk.tolist(), re.tolist(), im.tolist())}, chart)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -460,40 +691,15 @@ class ScalarExpr:
     # ----- calculus -----------------------------------------------------
 
     def diff(self, i: int) -> "ScalarExpr":
-        """Exact partial derivative with respect to x_i."""
+        """Exact partial derivative with respect to x_i (see ``diff_terms``)."""
         cached = self._dcache.get(i)
         if cached is not None:
             return cached
+        d, tk, re, im = self.arrays()
         s = self.chart if self.chart else CHART_A  # sign only matters if ap != 0
-        acc: dict[TermKey, GaussRat] = {}
-
-        def put(key, c):
-            prev = acc.get(key)
-            nc = c if prev is None else prev + c
-            if nc:
-                acc[key] = nc
-            elif prev is not None:
-                del acc[key]
-
-        for (m, rp, ap), c in self._t.items():
-            if m[i]:
-                m2 = list(m)
-                m2[i] -= 1
-                put(((m2[0], m2[1], m2[2], m2[3], m2[4]), rp, ap), c * m[i])
-            if rp:
-                m2 = list(m)
-                m2[i] += 1
-                put(((m2[0], m2[1], m2[2], m2[3], m2[4]), rp - 2, ap), c * rp)
-            if ap:
-                if i == 0:
-                    # d/dx0 (r + s*x0)^ap = s*ap*(r + s*x0)^ap / r
-                    put((m, rp - 1, ap), c * (ap * s))
-                else:
-                    m2 = list(m)
-                    m2[i] += 1
-                    put(((m2[0], m2[1], m2[2], m2[3], m2[4]), rp - 1, ap - 1),
-                        c * ap)
-        out = ScalarExpr(acc, self.chart)
+        zeros = np.zeros(tk.size, dtype=np.int64)
+        _, tk, re, im = diff_terms(zeros, tk, re, im, zeros + s, zeros + i)
+        out = ScalarExpr.from_arrays(d, tk, re, im, self.chart)
         self._dcache[i] = out
         return out
 
@@ -515,81 +721,11 @@ class ScalarExpr:
     # ----- equality -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        """Exact zero test on Gaussian-integer numerators and packed keys.
-
-        Clears denominators once: each coefficient becomes a Gaussian-integer
-        numerator (re, im) over the common denominator, and every term is
-        multiplied by x^k r^k' (r + s*x0)^k'' so that no exponent is
-        negative; x_i, r and the axis factor are nonzero divisors, so this
-        keeps zero and nonzero apart.  The axis power is then expanded
-        binomially and r^2 is rewritten to x.x until every r-exponent is 0
-        or 1, all on keys (m0..m4, rp) packed into one int with unsigned
-        10-bit fields (an r^2 -> x.x step is one integer addition).  The
-        monomials x^m r^(0 or 1) are a basis of the quotient, so the
-        expression is zero exactly when every numerator left is zero.
-
-        Keys are rewritten in descending order from a max-heap.  rp is the
-        top field, so every key a rewrite produces is smaller than the key
-        it came from, and each key is rewritten once, after everything that
-        feeds it.
-
-        Exponents must lie in [-EXP_LIMIT, EXP_LIMIT] (ExponentRange
-        otherwise), so after the shift every m_i, rp and axis power n lies
-        in [0, 2 * EXP_LIMIT].  The expansion moves j units from the r field
-        to x0 and a rewrite moves 2 units from r to one x_i, so neither
-        changes the sum of a key's fields, and no field ever exceeds that
-        sum's starting value: at most 7 * 2 * EXP_LIMIT = 882 < 1024.
-        """
-        terms = self._t
-        if not terms:
-            return True
-        lo_m, lo_r, lo_a = check_exponents(terms)
-        base_shift = max(0, -lo_m) * _Z_XALL + (max(0, -lo_r) << _Z_RSHIFT)
-        shift_a = max(0, -lo_a)
+        """Exact zero test: the one-segment case of ``nonzero_segments``."""
+        _, tk, re, im = self.arrays()
         s = self.chart if self.chart else CHART_A
-        rows: dict[int, list[int]] = {}
-        d = lcm(*(c.d for c in terms.values()))
-        poly: dict[int, list[int]] = {}
-        get = poly.get
-        for (m, rp, ap), c in terms.items():
-            f = d // c.d
-            re = c.a * f
-            im = c.b * f
-            n = ap + shift_a  # >= 0: expand (r + s*x0)^n binomially
-            row = rows.get(n)
-            if row is None:
-                row = rows[n] = [comb(n, j) * s ** j for j in range(n + 1)]
-            k = (base_shift + m[0] + (m[1] << 10) + (m[2] << 20)
-                 + (m[3] << 30) + (m[4] << 40) + ((rp + n) << _Z_RSHIFT))
-            for w in row:
-                e = get(k)
-                if e is None:
-                    poly[k] = [re * w, im * w]
-                else:
-                    e[0] += re * w
-                    e[1] += im * w
-                k += _Z_X0_NOT_R
-        # r^2 -> x0^2 + ... + x4^2 on every key with rp >= 2 (rp is the top
-        # field, so that is a plain comparison), largest key first; the heap
-        # holds negated keys
-        heap = [-k for k in poly if k >= _Z_R2]
-        heapify(heap)
-        while heap:
-            k = -heappop(heap)
-            re, im = poly.pop(k)
-            if not (re or im):
-                continue
-            for u in _Z_R2_TO_X2:
-                nk = k + u
-                e = get(nk)
-                if e is None:
-                    poly[nk] = [re, im]
-                    if nk >= _Z_R2:
-                        heappush(heap, -nk)
-                else:
-                    e[0] += re
-                    e[1] += im
-        return not any(re or im for re, im in poly.values())
+        seg = np.zeros(tk.size, dtype=np.int64)
+        return not nonzero_segments(seg, tk, re, im, seg + s).size
 
     def equals(self, other) -> bool:
         """Mathematical equality (structural __eq__ is deliberately separate)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -60,7 +60,8 @@ class SymmetryOperators:
         self.chart = chart
         hb, mu0, e2 = self.params.hbar, self.params.mu0, self.params.e2
 
-        combine = OperatorExpr.combine
+        combine, combine_many = OperatorExpr.combine, OperatorExpr.combine_many
+        self._x = [OperatorExpr.from_scalar(X[k]) for k in range(5)]
         self.T = {a: OperatorExpr.iso(a) for a in (1, 2, 3)}
         self.T2 = combine([(1, t, t) for t in self.T.values()])
 
@@ -79,17 +80,17 @@ class SymmetryOperators:
 
         # L_ij = (x_i pi_j - x_j pi_i) / hbar - r^2 F^a_ij T_a, and
         # L_ji = -L_ij
-        self._L = {}
-        for i in range(5):
-            for j in range(i + 1, 5):
-                r2f = OperatorExpr({(_iso_word(a), _ZD):
-                                    F[a][i][j] * ScalarExpr.rpow(2)
-                                    for a in (1, 2, 3)})
-                op = combine([(1 / hb, self.x_op(i), self.pi[j]),
-                              (-1 / hb, self.x_op(j), self.pi[i]),
-                              (-1, r2f, None)])
-                self._L[(i, j)] = op
-                self._L[(j, i)] = -op
+        pairs = list(combinations(range(5), 2))
+        ls = combine_many([
+            [(1 / hb, self.x_op(i), self.pi[j]),
+             (-1 / hb, self.x_op(j), self.pi[i]),
+             (-1, OperatorExpr({(_iso_word(a), _ZD):
+                                F[a][i][j] * ScalarExpr.rpow(2)
+                                for a in (1, 2, 3)}), None)]
+            for i, j in pairs])
+        self._L = dict(zip(pairs, ls))
+        self._L.update(zip(((j, i) for i, j in pairs),
+                           combine_many([[(-1, op, None)] for op in ls])))
 
         # H = pi.pi / (2 mu0) + (hbar^2 / (2 mu0 r^2)) T^2 - e2 / r
         half = Fraction(1, 2) / mu0
@@ -101,18 +102,14 @@ class SymmetryOperators:
         self.minus_2H = self.H * Fraction(-2)
 
         # Mt_k = sum_i (pi_i L_ik + L_ik pi_i) + (2 mu0 e2 / hbar) x_k / r
-        self.M = []
-        for k in range(5):
-            parts = []
-            for i in range(5):
-                if i != k:
-                    lik = self.L(i, k)
-                    parts += [(1, self.pi[i], lik), (1, lik, self.pi[i])]
-            mono = [0] * 5
-            mono[k] = 1
-            parts.append((2 * mu0 * e2 / hb, OperatorExpr.from_scalar(
-                ScalarExpr.term(1, mono, rp=-1)), None))
-            self.M.append(combine(parts))
+        self.M = combine_many(
+            [part for i in range(5) if i != k
+             for part in ((1, self.pi[i], self.L(i, k)),
+                          (1, self.L(i, k), self.pi[i]))]
+            + [(2 * mu0 * e2 / hb, OperatorExpr.from_scalar(
+                ScalarExpr.term(1, tuple(int(i == k) for i in range(5)),
+                                rp=-1)), None)]
+            for k in range(5))
 
         self._mm_residuals: dict[tuple[int, int], bool] | None = None
 
@@ -122,21 +119,21 @@ class SymmetryOperators:
         return self._L[(i, j)]
 
     def x_op(self, k: int) -> OperatorExpr:
-        return OperatorExpr.from_scalar(X[k])
+        return self._x[k]
 
     def mm_bracket_clean(self) -> dict[tuple[int, int], bool]:
         """[Mt_i, Mt_j] + 8 i mu0 H L_ij = 0 for i < j, computed once.
 
-        Each residual is one fused `OperatorExpr.combine`; no pair
-        Mt_i Mt_j is composed or cached on the way.
+        Each residual is one fused sum of products, all ten decided by one
+        `OperatorExpr.combines_are_zero`; no pair Mt_i Mt_j is composed or
+        cached on the way.
         """
         if self._mm_residuals is None:
             M, coef = self.M, _I * (8 * self.params.mu0)
-            self._mm_residuals = {
-                (i, j): OperatorExpr.combine(
-                    [(1, M[i], M[j]), (-1, M[j], M[i]),
-                     (coef, self.H, self.L(i, j))]).is_zero()
-                for i, j in combinations(range(5), 2)}
+            self._mm_residuals = _residuals_zero({
+                (i, j): [(1, M[i], M[j]), (-1, M[j], M[i]),
+                         (coef, self.H, self.L(i, j))]
+                for i, j in combinations(range(5), 2)})
         return self._mm_residuals
 
 
@@ -146,113 +143,86 @@ def build_operators(params: UnitParams | None = None,
 
 
 # ----- the ten bracket relations ------------------------------------------------
+#
+# Each check returns the names of its indices and {index tuple: whether
+# the bracket there holds}.  A bracket [a, b] = sum of coef * op is one
+# fused residual [(1, a, b), (-1, b, a), (-coef, op, None), ...], and all
+# of a check's residuals are decided by one `OperatorExpr.combines_are_zero`.
 
-def _bracket_is(a: OperatorExpr, b: OperatorExpr, *want) -> bool:
-    """[a, b] = sum of coef * op over the (coef, op) pairs in want, decided
-    on one fused residual [(1, a, b), (-1, b, a), (-coef, op, None), ...]."""
-    return OperatorExpr.combine(
-        [(1, a, b), (-1, b, a)]
-        + [(-coef, op, None) for coef, op in want]).is_zero()
+def _bracket(a: OperatorExpr, b: OperatorExpr, *want) -> list:
+    """The parts of the residual [a, b] - sum of coef * op over want."""
+    return [(1, a, b), (-1, b, a)] + [(-coef, op, None) for coef, op in want]
+
+
+def _residuals_zero(residuals: dict) -> dict:
+    """{index: whether the combine of its parts is zero}, all at once."""
+    return dict(zip(residuals,
+                    OperatorExpr.combines_are_zero(residuals.values())))
 
 
 def _check_pi_x(ops: SymmetryOperators):
     unit = (-_I * ops.params.hbar, OperatorExpr.identity())
-    n, ok = 0, True
-    for i in range(5):
-        for j in range(5):
-            want = [unit] if i == j else []
-            ok = ok and _bracket_is(ops.pi[i], ops.x_op(j), *want)
-            n += 1
-    return ok, n
+    return ("i", "j"), _residuals_zero({
+        (i, j): _bracket(ops.pi[i], ops.x_op(j), *([unit] if i == j else []))
+        for i in range(5) for j in range(5)})
 
 
 def _check_pi_pi(ops: SymmetryOperators):
     hb = ops.params.hbar
     F = {a: field_tensor(a, ops.chart) for a in (1, 2, 3)}
-    n, ok = 0, True
-    for i in range(5):
-        for j in range(5):
-            f = OperatorExpr({(_iso_word(a), _ZD): F[a][i][j]
-                              for a in (1, 2, 3)})
-            ok = ok and _bracket_is(ops.pi[i], ops.pi[j], (_I * hb * hb, f))
-            n += 1
-    return ok, n
+    return ("i", "j"), _residuals_zero({
+        (i, j): _bracket(ops.pi[i], ops.pi[j], (_I * hb * hb, OperatorExpr(
+            {(_iso_word(a), _ZD): F[a][i][j] for a in (1, 2, 3)})))
+        for i in range(5) for j in range(5)})
 
 
 def _check_L_x(ops: SymmetryOperators):
-    n, ok = 0, True
-    for i in range(5):
-        for j in range(i + 1, 5):
-            lij = ops.L(i, j)
-            for k in range(5):
-                want = ([(_I, ops.x_op(j))] if i == k else []) \
-                    + ([(-_I, ops.x_op(i))] if j == k else [])
-                ok = ok and _bracket_is(lij, ops.x_op(k), *want)
-                n += 1
-    return ok, n
+    return ("i", "j", "k"), _residuals_zero({
+        (i, j, k): _bracket(ops.L(i, j), ops.x_op(k),
+                            *([(_I, ops.x_op(j))] if i == k else []),
+                            *([(-_I, ops.x_op(i))] if j == k else []))
+        for i, j in combinations(range(5), 2) for k in range(5)})
 
 
 def _check_L_pi(ops: SymmetryOperators):
-    n, ok = 0, True
-    for i in range(5):
-        for j in range(i + 1, 5):
-            lij = ops.L(i, j)
-            for k in range(5):
-                want = ([(_I, ops.pi[j])] if i == k else []) \
-                    + ([(-_I, ops.pi[i])] if j == k else [])
-                ok = ok and _bracket_is(lij, ops.pi[k], *want)
-                n += 1
-    return ok, n
+    return ("i", "j", "k"), _residuals_zero({
+        (i, j, k): _bracket(ops.L(i, j), ops.pi[k],
+                            *([(_I, ops.pi[j])] if i == k else []),
+                            *([(-_I, ops.pi[i])] if j == k else []))
+        for i, j in combinations(range(5), 2) for k in range(5)})
 
 
 def _check_L_L(ops: SymmetryOperators):
-    n, ok = 0, True
-    for i in range(5):
-        for j in range(i + 1, 5):
-            lij = ops.L(i, j)
-            for m in range(5):
-                for nn in range(m + 1, 5):
-                    want = [(s * _I, ops.L(p, q)) for s, hit, p, q in (
-                        (1, i == m, j, nn), (-1, j == m, i, nn),
-                        (-1, i == nn, j, m), (1, j == nn, i, m)) if hit]
-                    ok = ok and _bracket_is(lij, ops.L(m, nn), *want)
-                    n += 1
-    return ok, n
+    return ("i", "j", "m", "n"), _residuals_zero({
+        (i, j, m, n): _bracket(ops.L(i, j), ops.L(m, n), *(
+            (s * _I, ops.L(p, q)) for s, hit, p, q in (
+                (1, i == m, j, n), (-1, j == m, i, n),
+                (-1, i == n, j, m), (1, j == n, i, m)) if hit))
+        for i, j in combinations(range(5), 2)
+        for m, n in combinations(range(5), 2)})
 
 
 def _check_H_L(ops: SymmetryOperators):
-    n, ok = 0, True
-    for i in range(5):
-        for j in range(i + 1, 5):
-            ok = ok and _bracket_is(ops.H, ops.L(i, j))
-            n += 1
-    return ok, n
+    return ("i", "j"), _residuals_zero({
+        (i, j): _bracket(ops.H, ops.L(i, j))
+        for i, j in combinations(range(5), 2)})
 
 
 def _check_H_M(ops: SymmetryOperators):
-    n, ok = 0, True
-    for k in range(5):
-        ok = ok and _bracket_is(ops.H, ops.M[k])
-        n += 1
-    return ok, n
+    return ("k",), _residuals_zero({
+        (k,): _bracket(ops.H, ops.M[k]) for k in range(5)})
 
 
 def _check_L_M(ops: SymmetryOperators):
-    n, ok = 0, True
-    for i in range(5):
-        for j in range(i + 1, 5):
-            lij = ops.L(i, j)
-            for k in range(5):
-                want = ([(_I, ops.M[j])] if i == k else []) \
-                    + ([(-_I, ops.M[i])] if j == k else [])
-                ok = ok and _bracket_is(lij, ops.M[k], *want)
-                n += 1
-    return ok, n
+    return ("i", "j", "k"), _residuals_zero({
+        (i, j, k): _bracket(ops.L(i, j), ops.M[k],
+                            *([(_I, ops.M[j])] if i == k else []),
+                            *([(-_I, ops.M[i])] if j == k else []))
+        for i, j in combinations(range(5), 2) for k in range(5)})
 
 
 def _check_M_M(ops: SymmetryOperators):
-    res = ops.mm_bracket_clean()
-    return all(res.values()), len(res)
+    return ("i", "j"), ops.mm_bracket_clean()
 
 
 _CHECKS = {
@@ -271,12 +241,17 @@ RELATION_NAMES = tuple(_CHECKS)
 
 
 def verify_relation(ops: SymmetryOperators, name: str) -> RelationResult:
+    """Every bracket of one relation, decided exactly; a failed row names
+    the first bracket that does not hold."""
     if name not in _CHECKS:
         raise KeyError(f"unknown relation {name!r}")
-    ok, n = _CHECKS[name](ops)
-    return RelationResult(
-        name=name, passed=ok, checked=n,
-        detail="exact residual zero" if ok else "nonzero exact residual")
+    names, res = _CHECKS[name](ops)
+    bad = next((idx for idx, ok in res.items() if not ok), None)
+    detail = "exact residual zero" if bad is None else (
+        f"nonzero exact residual at ({', '.join(names)}) = "
+        f"({', '.join(map(str, bad))})")
+    return RelationResult(name=name, passed=bad is None, checked=len(res),
+                          detail=detail)
 
 
 # ----- cleared Casimir identities ------------------------------------------------
@@ -326,16 +301,21 @@ def _so51_generator(ops: SymmetryOperators, m: int, n: int):
     return ops.L(m, n)
 
 
-def _c3_pairings(ops: SymmetryOperators, mu: int, nu: int) -> OperatorExpr:
-    """Sum of eps(mu nu a b c d) D~_ab D~_cd over the six ways to split the
-    four indices other than mu, nu into two sorted pairs a < b and c < d."""
+def _c3_pairing_parts(ops: SymmetryOperators, mu: int, nu: int) -> list:
+    """The parts of the sum of eps(mu nu a b c d) D~_ab D~_cd over the six
+    ways to split the four indices other than mu, nu into two sorted pairs
+    a < b and c < d."""
     rest = [k for k in range(6) if k not in (mu, nu)]
     parts = []
     for a, b in combinations(rest, 2):
         c, d = (k for k in rest if k not in (a, b))
         parts.append((_perm_sign((mu, nu, a, b, c, d)),
                       _so51_generator(ops, a, b), _so51_generator(ops, c, d)))
-    return OperatorExpr.combine(parts)
+    return parts
+
+
+def _c3_pairings(ops: SymmetryOperators, mu: int, nu: int) -> OperatorExpr:
+    return OperatorExpr.combine(_c3_pairing_parts(ops, mu, nu))
 
 
 def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
@@ -355,11 +335,13 @@ def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
     composes 90 distinct pair products instead of 360.
     """
     p = ops.params
-    # a generator: each G_mn is freed once it is accumulated
-    return OperatorExpr.combine(chain(
-        ((8, _so51_generator(ops, mu, nu), _c3_pairings(ops, mu, nu))
-         for mu, nu in combinations(range(6), 2)),
-        [(-96 * p.mu0 * p.e2 / p.hbar, ops.T2, None)]))
+    pairs = list(combinations(range(6), 2))
+    g = OperatorExpr.combine_many(_c3_pairing_parts(ops, mu, nu)
+                                  for mu, nu in pairs)
+    return OperatorExpr.combine(
+        [(8, _so51_generator(ops, mu, nu), gmn)
+         for (mu, nu), gmn in zip(pairs, g)]
+        + [(-96 * p.mu0 * p.e2 / p.hbar, ops.T2, None)])
 
 
 # -- C4: composing the cleared quartic residual as an operator would take
@@ -372,18 +354,22 @@ def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
 # out.  Every Mt stays a factor of its own; only the cheap sums E0,
 # EL5/E5L, K and T^2 are composed.
 
+def _c4_e0_parts(ops: SymmetryOperators, m: int, r: int) -> list:
+    """The parts of E0_mr = sum over nu other than m, r of L_m,nu L_nu,r."""
+    return [(1, ops.L(m, nu), ops.L(nu, r))
+            for nu in range(5) if nu not in (m, r)]
+
+
 def _c4_e0(ops: SymmetryOperators, m: int, r: int) -> OperatorExpr:
-    """E0_mr = sum over nu other than m, r of L_m,nu L_nu,r."""
-    return OperatorExpr.combine([(1, ops.L(m, nu), ops.L(nu, r))
-                                 for nu in range(5) if nu not in (m, r)])
+    return OperatorExpr.combine(_c4_e0_parts(ops, m, r))
 
 
-def _c4_el5_e5l(ops: SymmetryOperators,
-                m: int) -> tuple[OperatorExpr, OperatorExpr]:
-    """EL5_m = sum_nu L_m,nu Mt_nu and E5L_m = sum_nu Mt_nu L_nu,m."""
+def _c4_el5_e5l_parts(ops: SymmetryOperators, m: int) -> tuple[list, list]:
+    """The parts of EL5_m = sum_nu L_m,nu Mt_nu and E5L_m = sum_nu Mt_nu
+    L_nu,m."""
     nus = [nu for nu in range(5) if nu != m]
-    return (OperatorExpr.combine([(1, ops.L(m, nu), ops.M[nu]) for nu in nus]),
-            OperatorExpr.combine([(1, ops.M[nu], ops.L(nu, m)) for nu in nus]))
+    return ([(1, ops.L(m, nu), ops.M[nu]) for nu in nus],
+            [(1, ops.M[nu], ops.L(nu, m)) for nu in nus])
 
 
 def _c4_chains(ops: SymmetryOperators) -> list[tuple]:
@@ -410,7 +396,9 @@ def _c4_chains(ops: SymmetryOperators) -> list[tuple]:
     p = ops.params
     q = Fraction(1, 4) / p.mu0
     M = ops.M
-    E0 = {(m, r): _c4_e0(ops, m, r) for m in range(5) for r in range(5)}
+    mr = [(m, r) for m in range(5) for r in range(5)]
+    E0 = dict(zip(mr, OperatorExpr.combine_many(
+        _c4_e0_parts(ops, m, r) for m, r in mr)))
     chains = []
     for m in range(5):
         for r in range(5):
@@ -419,8 +407,9 @@ def _c4_chains(ops: SymmetryOperators) -> list[tuple]:
                        (-q / 2, (M[m], M[r], E0[r, m]), 1),
                        (q * q / 2, (M[m], M[r], M[r], M[m]), 0)]
     c1 = -Fraction(1, 8) / p.mu0
-    for m in range(5):
-        el5, e5l = _c4_el5_e5l(ops, m)
+    e5 = OperatorExpr.combine_many(
+        parts for m in range(5) for parts in _c4_el5_e5l_parts(ops, m))
+    for el5, e5l in zip(e5[::2], e5[1::2]):
         chains += [(c1, (el5, e5l), 1), (c1, (e5l, el5), 1)]
     c2 = Fraction(1, 32) / (p.mu0 * p.mu0)
     chains += [(c2, (M[i], M[i], M[j], M[j]), 0)
@@ -520,20 +509,21 @@ class _ChainPlans:
 
     def _build(self, op: OperatorExpr) -> _ChainPlan:
         column = self._column
-        rows, cols, vals = [], [], []
+        rows, cols = [], []
         words, dsel, derivs = [], [], {}
-        for k, ((w, d), c) in enumerate(op.items()):
+        keys, charts, start, terms, vals = op.float_terms()
+        for k, (w, d) in enumerate(keys):
             words.append(_word_mat_num(w))
             dsel.append(derivs.setdefault(d, len(derivs)))
-            for (mono, rp, ap), v in c.items():
-                term = (mono, rp, ap, c.chart if ap else 0)
+            for n in range(start[k], start[k + 1]):
+                mono, rp, ap = terms[n]
+                term = (mono, rp, ap, charts[k] if ap else 0)
                 j = column.get(term)
                 if j is None:
                     j = column[term] = len(self.terms)
                     self.terms.append(term)
                 rows.append(k)
                 cols.append(j)
-                vals.append(v.to_complex())
         n_keys, nd = len(words), len(derivs)
         coef = _RowSums.from_entries(rows, cols, vals,
                                      (n_keys, len(self.terms)))

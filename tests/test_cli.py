@@ -283,6 +283,23 @@ def test_out_writes_file(capsys, tmp_path):
     assert doc["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("transform", "--D", "4", "--u", "1/2,0,1/3,0"),
+    ("radial", "--levels", "1"),
+    ("spectrum", "--levels", "1"),
+    ("report", "--suites", "euler"),
+], ids=["transform", "radial", "spectrum", "report"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_out_that_cannot_be_written_exits_2(capsys, tmp_path, argv, where):
+    target = tmp_path / "no-such-dir" / "out" if where == "missing-dir" \
+        else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_verify_text_summary_line(capsys):
     code, out, _ = run(capsys, "report", "--suites", "casimir",
                          "--format", "text")

@@ -287,6 +287,26 @@ def test_matmul_rejects_exponents_outside_the_packed_range(mono, rp):
             OperatorExpr.combine(parts)
 
 
+@pytest.mark.parametrize("big", [(1 << 30) - 1, (1 << 30) + 1, 1 << 33],
+                         ids=["below-2^62", "just-past-2^62", "past-2^64"])
+def test_matmul_across_the_int64_bound_matches_reference(big):
+    """c1 = big x0 + i big x1 / r on T1 d0 and c2 = big x0^2 on T2 make
+    two blocks, the gamma = e0 one with l1 bound |s| ||c1|| ||d0 c2|| =
+    1 * 2 big * 2 big = 4 big^2: below 2^62, just past it, where the kernel
+    switches to Python ints, and far past 2^64, where int64 would wrap.
+    Each product must equal the GaussRat reference term for term."""
+    a = OperatorExpr({((1, 0, 0), (1, 0, 0, 0, 0)):
+                      ScalarExpr.term(big, (1, 0, 0, 0, 0))
+                      + ScalarExpr.term(GaussRat(0, big), (0, 1, 0, 0, 0),
+                                        rp=-1)})
+    b = OperatorExpr({((0, 1, 0), (0, 0, 0, 0, 0)):
+                      ScalarExpr.term(big, (2, 0, 0, 0, 0))})
+    got = a @ b
+    _assert_same_terms(got, _reference_matmul(a, b))
+    assert max(abs(c.a) + abs(c.b) for _, v in got.items()
+               for _, c in v.items()) == 2 * big * big
+
+
 def test_word_coefficients_are_gaussian_integers():
     """The kernel scales by word coefficients as Gaussian integers."""
     words = [w for w in iterproduct(range(3), repeat=3)]

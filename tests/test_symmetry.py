@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -121,6 +121,85 @@ def test_fused_residuals_see_a_perturbed_mt():
     for name in ("H-M", "L-M", "M-M"):
         assert not verify_relation(ops, name).passed, name
     assert not casimir_c2_residual(ops).is_zero()
+
+
+def _perturbed_mt(params=None):
+    """The operator family with a stray x_3 / 7 added to Mt_3."""
+    ops = build_operators(params)
+    ops.M[3] = ops.M[3] + ops.x_op(3) * Fraction(1, 7)
+    ops._mm_residuals = None
+    return ops
+
+
+def test_failed_relation_names_its_first_bracket():
+    """Every bracket of a relation is evaluated and counted, and a failed
+    row names the first one that does not hold: with Mt_3 perturbed,
+    [L_03, Mt_0] = i Mt_3 is the first L-M bracket to see it."""
+    ops = _perturbed_mt()
+    want = {"H-M": (5, "(k) = (3)"), "L-M": (50, "(i, j, k) = (0, 3, 0)"),
+            "M-M": (10, "(i, j) = (0, 3)"),
+            "SO51-cleared": (10, "(i, j) = (0, 3)")}
+    for name, (checked, at) in want.items():
+        r = verify_relation(ops, name)
+        assert not r.passed and r.checked == checked, name
+        assert r.detail == f"nonzero exact residual at {at}", name
+    r = verify_relation(ops, "L-L")
+    assert r.passed and r.checked == 100
+    assert r.detail == "exact residual zero"
+
+
+LARGE = UnitParams(hbar=Fraction(101, 97), mu0=Fraction(89, 83),
+                   e2=Fraction(79, 73))
+
+
+def test_relations_hold_at_large_rational_units():
+    """At these units the residual numerators outgrow int64, so the exact
+    kernel runs on Python ints, and still decides both ways."""
+    ops = build_operators(LARGE)
+    for name in ("H-M", "M-M"):
+        r = verify_relation(ops, name)
+        assert r.passed, r.detail
+    assert casimir_check(ops, "C3").passed
+    bad = _perturbed_mt(LARGE)
+    for name in ("H-M", "M-M"):
+        assert not verify_relation(bad, name).passed, name
+    assert not casimir_c3_residual(bad).is_zero()
+
+
+def _c4_lhs_from_definition(ops):
+    """(1/2) sum of D~_ab D~_bc D~_cd D~_da over the closed 4-walks of the
+    6x6 generator matrix, as jet chains: a walk with n5 factors in the
+    fifth row or column (Mt factors) carries (1/(4 mu0))^(n5/2), and
+    (-2H)^(2 - n5/2) clears the Hamiltonian out of the rest."""
+    d = {(m, n): _so51_generator(ops, m, n)
+         for m in range(6) for n in range(6) if m != n}
+    q = Fraction(1, 4) / ops.params.mu0
+    chains = []
+    for walk in product(range(6), repeat=4):
+        steps = list(zip(walk, walk[1:] + walk[:1]))
+        if all(m != n for m, n in steps):
+            n5 = sum(5 in step for step in steps)
+            chains.append((float(Fraction(1, 2) * q ** (n5 // 2)),
+                           tuple(d[step] for step in steps), 2 - n5 // 2))
+    return chains
+
+
+@pytest.mark.parametrize("params", [UnitParams(), UnitParams(
+    mu0=Fraction(3, 2), e2=Fraction(1, 3))], ids=["unit", "mu0-3/2"])
+def test_c4_left_side_matches_its_definition(params):
+    """The hand-expanded left side of `_c4_chains` (all but its last five
+    chains, the right side) equals the quartic contraction generated from
+    its definition, on the seeded points and jets."""
+    ops = build_operators(params)
+    lhs = _c4_chains(ops)[:-5]
+    assert len(lhs) == 135
+    generated = _c4_lhs_from_definition(ops)
+    assert len(generated) == 630
+    points = c4_test_points()
+    jets = c4_test_jets(len(points))
+    want = _c4_values(ops, lhs, points, jets)
+    got = _c4_values(ops, generated, points, jets)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.fixture(scope="module")
