@@ -12,13 +12,18 @@ the chart sign; the two denominator monoids never mix inside a single
 expression.
 
 Terms are kept as the ring operations produce them: r^k stays r^k.  Only
-the zero test ``ScalarExpr.is_zero`` clears denominators and reduces modulo
+the zero test, ``nonzero_segments``, clears denominators and reduces modulo
 the radius relation.  That is sound because r^2 - x.x is irreducible, so the
 quotient is an integral domain in which r and (r +- x0) are nonzero divisors.
 
-The zero test and operator composition work on Gaussian-integer numerators
-over one common denominator, with every term key packed into one int (see
-``pack_key``), so no GaussRat is built per intermediate term.
+The zero test, the derivative and operator composition work on term
+tables: flat numpy arrays of packed term keys (see ``pack_key``) and
+Gaussian-integer numerators over one common denominator, many expressions
+("segments") at once, so no GaussRat is built per intermediate term.
+``ScalarExpr.diff`` and ``ScalarExpr.is_zero`` are the one-segment cases
+of ``diff_terms`` and ``nonzero_segments``.  Numerators are int64 where an
+l1 bound proves every value a kernel forms stays below 2^62, and Python
+ints otherwise (see "term tables" below).
 """
 
 from __future__ import annotations
@@ -297,8 +302,8 @@ def unpack_key(p: int) -> TermKey:
 # otherwise; both run the same numpy calls.  Each bound is an l1 bound:
 # the sum of |re| + |im| over everything that can flow into one segment,
 # times the largest factor a kernel step applies.  It is evaluated in
-# float64, whose relative error on these sums and products is below 1e-9,
-# far inside the factor 2 between 2^62 and the int64 limit 2^63.
+# float64, whose relative error on sums of fewer than 10^7 such products is
+# below 1e-8, far inside the factor 2 between 2^62 and the int64 limit 2^63.
 
 _INT64_SAFE = float(1 << 62)
 _ER = 1 << 40  # one unit of the packed r exponent

@@ -10,23 +10,34 @@ and derivatives; products of words are rewritten to normal order through
 [T_a, T_b] = i eps_abc T_c with memoized rewriting, and composition of
 differential parts uses the generalized Leibniz rule.
 
-Composition runs on integers.  Each coefficient's ``ScalarExpr.int_view``
-(cached on the expression) holds its terms as Gaussian-integer numerator
-pairs (re, im) over the coefficient's common denominator, with each term
-key (m0..m4, rp, ap) packed into one int by ``exact.pack_key``; multiplying
-two terms is one integer addition of keys and one Gaussian-integer product.
-Every output (word, derivative) key accumulates plain integer pairs, and
-a GaussRat is built once per nonzero output term.  No intermediate
-ScalarExpr or GaussRat is formed per term product, and no relation is
-applied: r^2 stays r^2 until a zero test.  Exponents outside
-[-EXP_LIMIT, EXP_LIMIT] raise ExponentRange.
+Composition runs on term tables (``_Table``): all of an operator's
+coefficient terms as flat numpy arrays, each term key (m0..m4, rp, ap)
+packed into one int64 by ``exact.pack_key`` and each coefficient a
+Gaussian-integer numerator (re, im) over one denominator for the whole
+operator.  Multiplying two terms is one addition of keys and one
+Gaussian-integer product, and no relation is applied: r^2 stays r^2 until
+a zero test.  Exponents outside [-EXP_LIMIT, EXP_LIMIT] raise
+ExponentRange.
 
 Sums of products are fused: ``OperatorExpr.combine`` takes parts
-coef * (A @ B) and coef * A and accumulates all of them into one raw table
-per output key, over one denominator shared by every part, so each output
-coefficient is built once for the whole sum.  No product is materialized
-on the way and no two operators are added.  ``A @ B`` is the one-part
-combine.
+coef * (A @ B) and coef * A, and ``_accumulate`` works all parts at once.
+It lays out the blocks (part, A key, B key, Leibniz row, word entry) by
+numpy index arithmetic over tables each operator keeps: its Leibniz rows as
+a left factor, its derivative stack (every d^gamma of every coefficient,
+from ``exact.diff_terms``) as a right factor, and ``word_mul`` of its words
+as arrays.  The term products of all blocks are then merged by (output
+key, term key) with stable first-occurrence order, so keys and terms come
+out as a term-by-term accumulation would give them.  Python loops over
+parts and operators, never over blocks or terms.  ``A @ B`` is the
+one-part combine, and ``combine_many`` and ``combines_are_zero`` run many
+sums in one pass; a sum that is only zero-tested builds no GaussRat and no
+ScalarExpr.
+
+Exactness needs no switch: the numerators are int64 only where an l1
+bound proves that every product, factor and partial sum stays below 2^62
+(see ``_accumulate`` and ``exact.widen``), and Python ints, through the
+same numpy calls, where it does not.  Any positive rational units are
+exact; at the benchmark's units everything runs in int64.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ import numpy as np
 
 from .errors import ChartMismatch, ExponentRange
 from .exact import (
+    _BIAS,
     CHART_A,
     CHART_B,
     CHART_NONE,
@@ -51,16 +63,15 @@ from .exact import (
     check_exponents,
     checked_fields,
     diff_terms,
-    _BIAS,
     int_array,
     l1_norms,
     merge_terms,
+    nonzero_segments,
     pack_key,
     pair_key,
     ragged,
     run_starts,
     unpack_key,
-    nonzero_segments,
     widen,
 )
 from .gmat import SPIN, Mat, meye, mmul
@@ -574,12 +585,13 @@ def _accumulate(parts, order: str | None):
     # scaled by s, then (row, term of d^gamma c2); each window is merged
     # with its zero sums kept, so the final merge sees every first position
     ar, ai, br, bi, sr, si = widen(bound, a_re, a_im, d_re, d_im, sr, si)
-    count = a_count[ak] * n2
+    n1 = np.where(n2 > 0, a_count[ak], 0)
+    count = n1 * n2
     first = np.cumsum(count) - count
     cut = run_starts(first // _CHUNK)
     merged = []
     for b0, b1 in zip(cut, np.append(cut[1:], count.size)):
-        bo, p1 = ragged(a_count[ak[b0:b1]])
+        bo, p1 = ragged(n1[b0:b1])
         bo += b0
         idx1 = a_start[ak][bo] + p1
         vr = ar[idx1] * sr[bo] - ai[idx1] * si[bo]
@@ -663,11 +675,9 @@ class OperatorExpr:
     def _dict(self) -> dict[tuple[Word, Deriv], ScalarExpr]:
         if self._terms is None:
             t = self._tab
-            tk, re, im = t.tk.tolist(), t.re.tolist(), t.im.tolist()
-            make = GaussRat._make
             self._terms = {
-                key: ScalarExpr({unpack_key(tk[n]): make(re[n], im[n], t.den)
-                                 for n in range(a, b)}, chart)
+                key: ScalarExpr.from_arrays(t.den, t.tk[a:b], t.re[a:b],
+                                            t.im[a:b], chart)
                 for key, chart, a, b in zip(t.keys, t.chart.tolist(),
                                             t.start[:-1].tolist(),
                                             t.start[1:].tolist())}

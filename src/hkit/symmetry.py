@@ -315,6 +315,7 @@ def _c3_pairing_parts(ops: SymmetryOperators, mu: int, nu: int) -> list:
 
 
 def _c3_pairings(ops: SymmetryOperators, mu: int, nu: int) -> OperatorExpr:
+    """The sum `_c3_pairing_parts` stands for, composed."""
     return OperatorExpr.combine(_c3_pairing_parts(ops, mu, nu))
 
 
@@ -361,6 +362,7 @@ def _c4_e0_parts(ops: SymmetryOperators, m: int, r: int) -> list:
 
 
 def _c4_e0(ops: SymmetryOperators, m: int, r: int) -> OperatorExpr:
+    """E0_mr, composed."""
     return OperatorExpr.combine(_c4_e0_parts(ops, m, r))
 
 
