@@ -202,56 +202,61 @@ def word_matrix(w: Word) -> Mat:
 
 # ----- operators as term tables ----------------------------------------------
 #
-# An operator key (word, deriv) packs into one int64: the word's id in
-# _WORDS above bit 40, and the derivative orders d0..d4 in unsigned 8-bit
-# fields below it.  Orders lie in [0, EXP_LIMIT], so those of a product,
-# rest + d2, stay below 2^8, and packed derivatives add like exponents.
+# An operator key (word, deriv) packs into one int64: the word's powers in
+# 7-bit fields above bit 40, and the derivative orders d0..d4 in 8-bit
+# fields below it.  An operand's powers and orders lie in [0, EXP_LIMIT],
+# so those of a product stay below 2^7, and packed derivatives add like
+# exponents.
 
 _CHUNK = 1 << 16  # products made and merged at once, about
 
-_WORDS: list[Word] = []
-_WORD_ID: dict[Word, int] = {}
 _WORD_PAIRS: dict[tuple, tuple] = {}
 _DMASK = (1 << 40) - 1
 
 
-def _word_id(w: Word) -> int:
-    i = _WORD_ID.get(w)
-    if i is None:
-        i = _WORD_ID[w] = len(_WORDS)
-        _WORDS.append(w)
-    return i
+def _pack_word(w: Word) -> int:
+    return (w[0] << 14) | (w[1] << 7) | w[2]
 
 
 def _pack_deriv(d: Deriv) -> int:
-    if max(d) > EXP_LIMIT:
-        raise ExponentRange(f"derivative {d} has an order outside "
-                            f"[0, {EXP_LIMIT}]")
     return d[0] + (d[1] << 8) + (d[2] << 16) + (d[3] << 24) + (d[4] << 32)
+
+
+def _pack_okey(w: Word, d: Deriv) -> int:
+    """An operand's key; raises ExponentRange unless every power and order
+    lies in [0, EXP_LIMIT]."""
+    if max(w) > EXP_LIMIT or max(d) > EXP_LIMIT:
+        raise ExponentRange(f"operator key {(w, d)} has a power or order "
+                            f"outside [0, {EXP_LIMIT}]")
+    return (_pack_word(w) << 40) | _pack_deriv(d)
+
+
+def _word_of(code: int) -> Word:
+    return (code >> 14, (code >> 7) & 127, code & 127)
 
 
 def _out_key(okey: int) -> tuple[Word, Deriv]:
     d = okey & _DMASK
-    return (_WORDS[okey >> 40], (d & 255, (d >> 8) & 255, (d >> 16) & 255,
-                                 (d >> 24) & 255, d >> 32))
+    return (_word_of(okey >> 40), (d & 255, (d >> 8) & 255, (d >> 16) & 255,
+                                   (d >> 24) & 255, d >> 32))
 
 
 def _word_pairs(wa: tuple, wb: tuple):
-    """``word_mul`` of every word id in wa by every one in wb, as one CSR:
-    (start, out word id, re, im), pair (p, q) at p * len(wb) + q, each
-    coefficient re + i im a Gaussian integer."""
+    """``word_mul`` of every packed word in wa by every one in wb, as one
+    CSR: (start, packed out word, re, im), pair (p, q) at p * len(wb) + q,
+    each coefficient re + i im a Gaussian integer."""
     got = _WORD_PAIRS.get((wa, wb))
     if got is None:
         counts, outs, res, ims = [0], [], [], []
         for p in wa:
             for q in wb:
-                prod = word_mul(_WORDS[p], _WORDS[q])
+                prod = word_mul(_word_of(p), _word_of(q))
                 if any(c.d != 1 for c in prod.values()):
                     raise ArithmeticError(
-                        f"word coefficients of {_WORDS[p]} {_WORDS[q]} are "
-                        "not Gaussian integers")
+                        f"word coefficients of {_word_of(p)} {_word_of(q)} "
+                        "are not Gaussian integers")
                 counts.append(len(prod))
-                outs += [_word_id(w) for w in prod]
+                outs += [_pack_word(w) for w in prod]
                 res += [c.a for c in prod.values()]
                 ims += [c.b for c in prod.values()]
         got = _WORD_PAIRS[(wa, wb)] = (
@@ -278,7 +283,8 @@ class _Table:
 
     What composition needs of the operator as a left factor (``leibniz``,
     ``words``) and as a right factor (``diff_rows``) is built on first use
-    and kept with it.
+    and kept with it, so a table is not safe to compose from two threads at
+    once; the suites run in processes.
     """
 
     __slots__ = ("okey", "chart", "start", "seg", "tk", "re", "im", "den",
@@ -303,12 +309,12 @@ class _Table:
 
     def check(self) -> "_Table":
         """Raise ExponentRange unless every exponent lies in
-        [-EXP_LIMIT, EXP_LIMIT] and every derivative order in
-        [0, EXP_LIMIT]; a product's may reach twice that."""
+        [-EXP_LIMIT, EXP_LIMIT] and every word power and derivative order
+        in [0, EXP_LIMIT]; a product's may reach twice that."""
         if not self._checked:
             checked_fields(self.tk)
-            for d in {d for _, d in self.keys}:
-                _pack_deriv(d)
+            for w, d in set(self.keys):
+                _pack_okey(w, d)
             self._checked = True
         return self
 
@@ -324,7 +330,8 @@ class _Table:
         return self._l1
 
     def words(self) -> tuple[tuple, np.ndarray]:
-        """(the distinct word ids, in order; each key's index among them)."""
+        """(the distinct packed words, in order; each key's index among
+        them)."""
         if self._words is None:
             ids, at = np.unique(self.okey >> 40, return_inverse=True)
             self._words = (tuple(ids.tolist()), at)
@@ -430,7 +437,7 @@ def _table_of_terms(terms: dict) -> _Table:
         check_exponents(keys)
     den = lcm(*(v.d for v in vals))
     counts = [len(c) for c in coefs]
-    okey = [(_word_id(w) << 40) | _pack_deriv(d) for w, d in terms]
+    okey = [_pack_okey(w, d) for w, d in terms]
     return _Table(np.array(okey, dtype=np.int64),
                   np.array([c.chart for c in coefs], dtype=np.int64),
                   np.cumsum([0] + counts),
