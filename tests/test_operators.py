@@ -346,3 +346,16 @@ def test_combine_of_nothing_is_a_structural_zero(random_ops):
                   [(Fraction(2, 3), a, None), (Fraction(-2, 3), a, None)]):
         assert OperatorExpr.combine(parts).is_structural_zero()
 
+
+def test_batched_sums_match_one_sum_at_a_time(random_ops):
+    """combine_many keeps each sum exactly as combine makes it alone, and
+    combines_are_zero decides each sum as its combine's is_zero does."""
+    a, b, c, _ = random_ops
+    sums = [[(1, a, b)],
+            [(Fraction(-5, 3), b, c), (GaussRat(3, -2) / 7, c, None)],
+            [], [(1, a, b), (-1, a, b)], [(2, c, a), (1, a, None)],
+            [(Fraction(2, 3), a, None), (Fraction(-2, 3), a, None)]]
+    for got, parts in zip(OperatorExpr.combine_many(sums), sums):
+        _assert_same_terms(got, OperatorExpr.combine(parts))
+    assert OperatorExpr.combines_are_zero(sums) == [
+        False, False, True, True, False, True]
