@@ -12,6 +12,7 @@ Taylor coefficients then hand back all derivatives at once.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -36,6 +37,11 @@ class _JetSpace:
     entries up to degree order - |a|.  A multi-index g is encoded as
     sum g_i (order+1)^i; no component exceeds the order, so the code of a
     sum of two indices is the sum of their codes.
+
+    The (ia, ib) pairs run over a by degree k, and for each a of degree k
+    over the first up_to[order - k] entries b.  So the degree-k rows of a
+    stack, times those leading entries of another, list the products of
+    those pairs in order: ``blocks`` holds (start, stop, width) per degree.
     """
 
     _cache: dict[int, "_JetSpace"] = {}
@@ -58,6 +64,9 @@ class _JetSpace:
         self.ib = np.arange(len(self.ia)) - np.repeat(
             np.cumsum(counts) - counts, counts)
         self.ic = self._lookup[code[self.ia] + code[self.ib]]
+        start = np.concatenate([[0], up_to[:-1]])
+        self.blocks = [(int(start[k]), int(up_to[k]), int(up_to[order - k]))
+                       for k in range(order + 1)]
         fact = np.array([factorial(k) for k in range(order + 1)], dtype=float)
         self.fact = fact[grid].prod(axis=1)
 
@@ -81,10 +90,38 @@ class _JetSpace:
                                 minlength=self.dim)
         return out
 
+    @cached_property
+    def _ic2(self) -> np.ndarray:
+        """ic for a complex product viewed as interleaved (real, imag)
+        floats: bins 2 c and 2 c + 1 of a float view of the result."""
+        return np.stack([2 * self.ic, 2 * self.ic + 1], axis=1).ravel()
+
+    def stack_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_j a[s, :, j] * b[j] in truncated jet arithmetic, for each s.
+
+        a has shape (S, dim, J), one jet per column, and b shape (J, dim).
+        Degree block k of a meets the leading entries of b in one matmul,
+        and the blocks, flattened in order, are the products of the (ia, ib)
+        pairs, each summed over j; they are binned on ic.  For J = 1 this is
+        ``mul`` up to rounding, and slower; for large J the matmuls do the
+        work of gathering a[s][:, ia] * b[:, ib] at a fraction of its cost.
+        """
+        n = a.shape[0]
+        prod = np.concatenate([(a[:, i:j] @ b[:, :w]).reshape(n, -1)
+                               for i, j, w in self.blocks], axis=1)
+        out = np.empty((n, 2 * self.dim))
+        for s in range(n):
+            out[s] = np.bincount(self._ic2, prod[s].view(float), 2 * self.dim)
+        return out.view(complex)
+
     def const(self, c: complex) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
         out[0] = c
         return out
+
+
+# The largest pair-product array `PointJet.terms` makes at once.
+_STACK_BYTES = 1 << 20
 
 
 def _binom_frac(q: Fraction, n: int) -> float:
@@ -112,7 +149,8 @@ class PointJet:
         for i in range(5):
             gi = [0] * 5
             gi[i] = 1
-            s_jet[sp.pos[tuple(gi)]] = 2.0 * xs[i]
+            if order >= 1:
+                s_jet[sp.pos[tuple(gi)]] = 2.0 * xs[i]
             gi[i] = 2
             if order >= 2:
                 s_jet[sp.pos[tuple(gi)]] = 1.0
@@ -158,9 +196,8 @@ class PointJet:
                 sp = self.space
                 u = self._r.copy()
                 u[0] += s * self.xs[0]
-                g0 = [0] * 5
-                g0[0] = 1
-                u[sp.pos[tuple(g0)]] += s
+                if self.order >= 1:
+                    u[sp.pos[(1, 0, 0, 0, 0)]] += s
                 v = u / u0
                 v[0] = 0.0
                 base = self._series(v, Fraction(1)) * u0 if a > 0 else \
@@ -205,6 +242,34 @@ class PointJet:
                     got = sp.mul(got, self.axis_pow(ap, s))
             self._term_cache[key] = got
         return got
+
+    def terms(self, keys: list[tuple]) -> np.ndarray:
+        """The jets ``term`` gives for keys (mono, rp, ap, s), up to
+        rounding, one row each.
+
+        The x^mono factors of all keys are gathered at once.  Keys that
+        share r^rp (r + s x0)^ap are joined to it by stacked products
+        (`_JetSpace.stack_mul` with J = 1), in slices of rows whose pair
+        products take at most _STACK_BYTES.
+        """
+        sp = self.space
+        mono = np.array([k[0] for k in keys], dtype=np.intp).reshape(-1, 5)
+        xm = np.ones((len(keys), sp.dim))
+        for i in range(5):
+            table = np.array([self.xpow(i, m)
+                              for m in range(mono[:, i].max(initial=0) + 1)])
+            xm *= table[mono[:, i]][:, sp.grid[:, i]]
+        groups: dict[tuple, list[int]] = {}
+        for n, (_, rp, ap, s) in enumerate(keys):
+            groups.setdefault((rp, ap, s), []).append(n)
+        step = max(1, _STACK_BYTES // (16 * sp.ia.size))
+        out = np.empty((len(keys), sp.dim), dtype=complex)
+        for (rp, ap, s), rows in groups.items():
+            base = self.term((0,) * 5, rp, ap, s)[None]
+            for at in range(0, len(rows), step):
+                sel = rows[at:at + step]
+                out[sel] = sp.stack_mul(xm[sel, :, None], base)
+        return out
 
     def expr(self, e: ScalarExpr) -> np.ndarray:
         out = np.zeros(self.space.dim, dtype=complex)

@@ -16,9 +16,9 @@ first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -473,19 +473,33 @@ class _RowSums:
 class _ChainPlan:
     """One operator laid out for jet chains.
 
-    ``coef`` is the (key x term) `_RowSums` matrix of its coefficients over
-    the term columns of the `_ChainPlans` that built it.  ``derivs`` lists
-    its distinct derivatives.  ``mix`` is a (2 * 2 nd x key) `_RowSums`, nd
-    = len(derivs): row s * 2 nd + b * nd + i sums, over the keys with
-    derivative derivs[i], entry (s, b) of the key's word matrix times the
-    key's row.  Applied to coefficient jets it folds the word matrices
-    into one jet per output component s, input component b and derivative.
+    ``derivs`` lists its distinct derivatives, nd = len(derivs).  ``coef``
+    is a (2 * 2 nd x term) `_RowSums` matrix over the term columns of the
+    `_ChainPlans` that built it: row s * 2 nd + b * nd + i sums, over the
+    keys with derivative derivs[i], entry (s, b) of the key's word matrix
+    times the key's coefficient.  Applied to the term jets it gives one
+    coefficient jet per output component s, input component b and
+    derivative.
     """
 
     order: int
     coef: _RowSums
-    mix: _RowSums
     derivs: tuple
+    _gathers: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def gather(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """The shift tables of every derivative, stacked (nd x dim): row i
+        takes the jet of d^derivs[i] f at order from f's jet at order plus
+        the plan's.  Cached per order, as long as the plan lives."""
+        got = self._gathers.get(order)
+        if got is None:
+            lo = _JetSpace.get(order)
+            hi = _JetSpace.get(order + self.order)
+            src, scale = zip(*(shift_table(hi, lo, d) for d in self.derivs))
+            got = self._gathers[order] = (
+                np.array(src, dtype=int).reshape(-1, lo.dim),
+                np.array(scale).reshape(-1, lo.dim))
+        return got
 
 
 class _ChainPlans:
@@ -509,10 +523,26 @@ class _ChainPlans:
             self._plans[id(op)] = got
         return got[1]
 
+    def applied_orders(self, factors: tuple) -> list[int]:
+        """The order each factor of a chain is applied at: the summed
+        orders of the factors outside it."""
+        return list(accumulate((self.get(op).order for op in factors[:-1]),
+                               initial=0))
+
+    def column_orders(self, uses) -> np.ndarray:
+        """The highest order any of uses, pairs (op, order) of an operator
+        and an order its image is taken at, needs each term column's jet
+        at; 0 for a column none of them reads.  Plans the uses need are
+        built first."""
+        uses = [(self.get(op).coef.cols, order) for op, order in uses]
+        out = np.zeros(len(self.terms), dtype=int)
+        for cols, order in uses:
+            out[cols] = np.maximum(out[cols], order)
+        return out
+
     def _build(self, op: OperatorExpr) -> _ChainPlan:
         column = self._column
-        rows, cols = [], []
-        words, dsel, derivs = [], [], {}
+        cols, words, dsel, derivs = [], [], [], {}
         keys, charts, start, terms, vals = op.float_terms()
         for k, (w, d) in enumerate(keys):
             words.append(_word_mat_num(w))
@@ -524,18 +554,19 @@ class _ChainPlans:
                 if j is None:
                     j = column[term] = len(self.terms)
                     self.terms.append(term)
-                rows.append(k)
                 cols.append(j)
-        n_keys, nd = len(words), len(derivs)
-        coef = _RowSums.from_entries(rows, cols, vals,
-                                     (n_keys, len(self.terms)))
-        w = np.array(words, dtype=complex).reshape(n_keys, 2, 2)
-        s, b, k = np.nonzero(w.transpose(1, 2, 0))
-        mix = _RowSums.from_entries(
-            s * 2 * nd + b * nd + np.array(dsel, dtype=int)[k], k, w[k, s, b],
-            (4 * nd, n_keys))
+        # one entry per term and nonzero entry (s, b) of its key's word
+        key = np.repeat(np.arange(len(keys)), np.diff(start))
+        w = np.array(words, dtype=complex).reshape(-1, 2, 2)[key]
+        s, b, n = np.nonzero(w.transpose(1, 2, 0))
+        nd = len(derivs)
+        coef = _RowSums.from_entries(
+            s * 2 * nd + b * nd + np.array(dsel, dtype=np.intp)[key[n]],
+            np.array(cols, dtype=np.intp)[n],
+            w[n, s, b] * np.array(vals, dtype=complex)[n],
+            (4 * nd, len(self.terms)))
         order = max((sum(d) for d in derivs), default=0)
-        return _ChainPlan(order, coef, mix, tuple(derivs))
+        return _ChainPlan(order, coef, tuple(derivs))
 
 
 class _JetApplier:
@@ -545,14 +576,14 @@ class _JetApplier:
     With lo the order asked for and hi = lo + the order of op, the jet of
     op(f) is a few array operations on op's plan:
 
-    - the coefficient jets of op at order lo are its coefficient row sums
-      applied to the stacked jets of the plans' terms at this point, and
-      its word mixer folds them into one jet a[s, b, d] per output
-      component s, input component b and derivative d of op;
-    - the jet of d^d f_b at order lo is gathered from f's jet at order hi
-      by a shift table, for every derivative d of op;
-    - output component s of the image jet is the truncated product
-      a[s][:, ia] * shifted[:, ib], summed over (b, d) and binned on ic.
+    - op's coefficient row sums, applied to the stacked jets of the plans'
+      terms at this point, give one coefficient jet a[s, b, d] at order lo
+      per output component s, input component b and derivative d of op;
+    - the jets of d^d f_b at order lo, for every derivative d of op, are
+      gathered from f's jet at order hi by the plan's stacked shift tables;
+    - output component s of the image jet is the sum over (b, d) of the
+      truncated products of a[s, b, d] and d^d f_b: one matmul per degree
+      block of a (`_JetSpace.stack_mul`), binned on ic.
 
     A chain op_1(...op_n(f)) is evaluated from the inside out: the image
     under op_n at the summed order of op_1 .. op_(n-1), the image of that
@@ -560,32 +591,43 @@ class _JetApplier:
     on, down to order 0, the value at the point.  Each image is memoized
     by the input jet, the suffix of factors applied to it and its order,
     so chains that end in the same factors compute them once.  Nothing is
-    composed or applied symbolically.  The plans live as long as the
-    `_ChainPlans` passed in, one check in `_c4_values`; the term jets and
-    images live as long as the applier, one point.  Jet spaces and shift
-    tables are cached per order for the process.
+    composed or applied symbolically.  The plans and their shift stacks
+    live as long as the `_ChainPlans` passed in, one check in
+    `_c4_values`; the term jets and images live as long as the applier,
+    one point.  Jet spaces and shift tables are cached per order for the
+    process.
 
-    The term jets of every column the plans hold when the applier is made
-    are computed there, once, at ``order``: no image can be taken above
-    it, and no plan that adds a term column afterwards can be applied.
+    ``orders`` gives the order of each term column's jet, one int for all
+    of them or one per column of the plans (`_ChainPlans.column_orders`);
+    the jets of every column the plans hold when the applier is made are
+    computed there, each at its own order.  An image of op at an order
+    above one of op's columns raises instead of reading a jet that is too
+    short, and no plan that adds a term column afterwards can be applied.
     """
 
-    def __init__(self, p: Point5, plans: _ChainPlans, order: int):
+    def __init__(self, p: Point5, plans: _ChainPlans, orders):
         self.plans = plans
-        self.order = order
-        pj = PointJet(p, order)
-        self._tjets = np.array([pj.term(*t) for t in plans.terms],
-                               dtype=complex).reshape(len(plans.terms),
-                                                      pj.space.dim)
+        n = len(plans.terms)
+        self.orders = np.broadcast_to(np.asarray(orders, dtype=int), (n,))
+        self.order = int(self.orders.max(initial=0))
+        self._tjets = np.zeros((n, _JetSpace.get(self.order).dim),
+                               dtype=complex)
+        for order in np.unique(self.orders).tolist():
+            cols = np.flatnonzero(self.orders == order)
+            pj = PointJet(p, order)
+            self._tjets[cols, :pj.space.dim] = pj.terms(
+                [plans.terms[j] for j in cols.tolist()])
         self._images: dict[tuple, np.ndarray] = {}
         self._inputs: dict[int, np.ndarray] = {}
 
-    def term_jets(self, order: int) -> np.ndarray:
-        """Jets of every planned term at order, one row per term column:
-        a prefix of each row computed at the applier's order, because jets
-        are sorted by degree."""
-        if order > self.order:
-            raise ValueError(f"term jets were computed at order {self.order}, "
+    def term_jets(self, op: OperatorExpr, order: int) -> np.ndarray:
+        """Jets at order of every term column, one row per column: prefixes
+        of the stored rows, because jets are sorted by degree.  Rows of
+        columns op does not use may be shorter; op's own must not be."""
+        reach = self.orders[self.plans.get(op).coef.cols].min(
+            initial=self.order)
+        if order > reach:
+            raise ValueError(f"term jets were computed at order {reach}, "
                              f"not {order}")
         return self._tjets[:, :_JetSpace.get(order).dim]
 
@@ -596,20 +638,11 @@ class _JetApplier:
         fjet has shape (2, dim) at order plus the order of op, or higher.
         """
         pl = self.plans.get(op)
-        cj = pl.coef @ self.term_jets(order)
         lo = _JetSpace.get(order)
-        hi = _JetSpace.get(order + pl.order)
-        tables = [shift_table(hi, lo, d) for d in pl.derivs]
-        src = np.array([t[0] for t in tables], dtype=int).reshape(-1, lo.dim)
-        scale = np.array([t[1] for t in tables]).reshape(-1, lo.dim)
-        shifted = (fjet[:, src] * scale).reshape(-1, lo.dim)[:, lo.ib]
-        a = (pl.mix @ cj).reshape(2, -1, lo.dim)
-        out = np.empty((2, lo.dim), dtype=complex)
-        for s in (0, 1):
-            prod = (a[s][:, lo.ia] * shifted).sum(axis=0)
-            out[s] = np.bincount(lo.ic, prod.real, lo.dim)
-            out[s] += 1j * np.bincount(lo.ic, prod.imag, lo.dim)
-        return out
+        a = (pl.coef @ self.term_jets(op, order)).reshape(2, -1, lo.dim)
+        src, scale = pl.gather(order)
+        shifted = (fjet[:, src] * scale).reshape(-1, lo.dim)
+        return lo.stack_mul(a.transpose(0, 2, 1), shifted)
 
     def chain(self, factors: tuple, fjet: np.ndarray) -> np.ndarray:
         """Both components of factors[0](...factors[-1](f)) at the point.
@@ -618,17 +651,35 @@ class _JetApplier:
         memoized images do; fjet must not be changed in place afterwards.
         """
         self._inputs[id(fjet)] = fjet
-        orders = [self.plans.get(op).order for op in factors]
+        orders = self.plans.applied_orders(factors)
         jet, suffix = fjet, ()
         for i in reversed(range(len(factors))):
             suffix = (id(factors[i]),) + suffix
-            order = sum(orders[:i])
-            key = (id(fjet), suffix, order)
+            key = (id(fjet), suffix, orders[i])
             got = self._images.get(key)
             if got is None:
-                got = self._images[key] = self.image(factors[i], jet, order)
+                got = self._images[key] = self.image(factors[i], jet,
+                                                     orders[i])
             jet = got
         return jet[:, 0]
+
+
+def _c4_plans(ops: SymmetryOperators,
+              chains: list[tuple]) -> tuple[_ChainPlans, np.ndarray]:
+    """The plans of (-2H) and of every chain factor, and the order each
+    term column's jet is needed at.
+
+    (-2H) is applied at orders 6 and 4, for f1 = (-2H) f and f2 = (-2H) f1;
+    a chain factor at the summed order of the factors outside it.  Each
+    column is needed at the highest order any operator that reads it is
+    applied at: 6 for the columns of (-2H) and of an Mt under three outer
+    factors, 3 or 4 for most others.
+    """
+    plans = _ChainPlans()
+    uses = [(ops.minus_2H, 6), (ops.minus_2H, 4)]
+    for _, factors, _ in chains:
+        uses += zip(factors, plans.applied_orders(factors))
+    return plans, plans.column_orders(uses)
 
 
 def _c4_values(ops: SymmetryOperators, chains: list[tuple],
@@ -637,22 +688,17 @@ def _c4_values(ops: SymmetryOperators, chains: list[tuple],
     point, for the jet of f there (order 8 or higher).
 
     f1 = (-2H) f at order 6 and f2 = (-2H) f1 at order 4 come from the same
-    plan set as the chains.  f1 is the first image at each point and no
-    chain asks for a higher one (an Mt under three outer factors is also
-    taken at order 6), so each point's applier computes the term jets
-    once, at order 6.  All plans are built before the first applier and
-    dropped when this returns; each point gets its own applier, so its
-    term jets and memoized images are freed before the next point's are
-    made.
+    plan set as the chains.  All plans are built before the first applier
+    (`_c4_plans`), so each point's applier computes every term column's jet
+    once, at the order the column is needed at, not all of them at order 6.
+    The plans and their shift stacks are dropped when this returns; each
+    point gets its own applier, so its term jets and memoized images are
+    freed before the next point's are made.
     """
-    plans = _ChainPlans()
-    plans.get(ops.minus_2H)
-    for _, factors, _ in chains:
-        for op in factors:
-            plans.get(op)
+    plans, orders = _c4_plans(ops, chains)
     vals = np.zeros((len(points), 2), dtype=complex)
     for n, (pt, f) in enumerate(zip(points, jets)):
-        ja = _JetApplier(pt, plans, 6)
+        ja = _JetApplier(pt, plans, orders)
         f1 = ja.image(ops.minus_2H, f, 6)
         fk = (f, f1, ja.image(ops.minus_2H, f1, 4))
         for coef, factors, k in chains:
@@ -707,9 +753,10 @@ def casimir_check(ops: SymmetryOperators, which: str,
 
 
 def c4_test_points() -> list[Point5]:
-    """Rational points with exactly rational radius, floats for speed."""
+    """Two fixed points with rational coordinates, as floats for speed.
+    Neither radius is rational: r^2 = 41/16 and 18/5."""
     return [
-        Point5([0.25, 0.5, -1.0, 0.5, 1.0]),   # r^2 = (3/2)^2 + ...
+        Point5([0.25, 0.5, -1.0, 0.5, 1.0]),   # r^2 = 41/16
         Point5([-0.6, 1.2, 0.4, -0.8, 1.0]),
     ]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from hkit.exact import R, ScalarExpr, X
@@ -83,3 +84,48 @@ def test_shift_table_differentiates_a_jet():
     want = [complex(e.multi_diff(tuple(a + b for a, b in zip(g, d)))
                     .evaluate(p).to_complex()) for g in lo.space.indices]
     assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def _gathered_stack_mul(sp, a, b):
+    """sum_j a[s, :, j] * b[j] the slow way: gather every (ia, ib) pair,
+    multiply, sum over j and bin on ic."""
+    out = np.zeros((a.shape[0], sp.dim), dtype=complex)
+    for s in range(a.shape[0]):
+        prod = (a[s].T[:, sp.ia] * b[:, sp.ib]).sum(axis=0)
+        out[s] = np.bincount(sp.ic, prod.real, sp.dim)
+        out[s] += 1j * np.bincount(sp.ic, prod.imag, sp.dim)
+    return out
+
+
+@pytest.mark.parametrize("order", range(9))
+@pytest.mark.parametrize("J", [1, 28])
+def test_stack_mul_matches_gathered_products(order, J):
+    """The degree-block matmuls give the gathered pair products, binned on
+    ic, for random complex stacks (two outputs, J jets each)."""
+    sp = _JetSpace.get(order)
+    rng = np.random.default_rng(1000 * J + order)
+    a = rng.normal(size=(2, sp.dim, J)) + 1j * rng.normal(size=(2, sp.dim, J))
+    b = rng.normal(size=(J, sp.dim)) + 1j * rng.normal(size=(J, sp.dim))
+    got = sp.stack_mul(a, b)
+    assert got.shape == (2, sp.dim)
+    assert np.allclose(got, _gathered_stack_mul(sp, a, b), rtol=1e-13,
+                       atol=0)
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_stacked_terms_are_prefixes_of_order_6_terms(order):
+    """`PointJet.terms` at any order from 0 up gives the leading entries of
+    the order-6 `PointJet.term` jets, for coordinate monomials, powers of r
+    and axis factors of both charts."""
+    p = rational_points(1)[0]
+    keys = [((0,) * 5, 0, 0, 0), ((0,) * 5, -3, 0, 0),
+            ((2, 0, 1, 0, 3), 1, 0, 0), ((0, 1, 0, 0, 0), -1, -1, 1),
+            ((1, 0, 0, 2, 0), 2, 2, -1), ((0, 0, 4, 0, 1), -2, -1, -1)]
+    hi = PointJet(p, 6)
+    got = PointJet(p, order).terms(keys)
+    dim = _JetSpace.get(order).dim
+    assert got.shape == (len(keys), dim)
+    for row, key in zip(got, keys):
+        want = hi.term(*key)[:dim]
+        assert np.allclose(row, want, rtol=1e-13,
+                           atol=1e-13 * np.abs(want).max())

@@ -12,7 +12,7 @@ import pytest
 
 from hkit import symmetry
 from hkit.exact import CHART_A, CHART_B, GaussRat, ScalarExpr, X
-from hkit.jets import PointJet
+from hkit.jets import PointJet, _JetSpace
 from hkit.operators import IsoFun, OperatorExpr, apply
 from hkit.params import UnitParams
 from hkit.symmetry import (
@@ -20,6 +20,7 @@ from hkit.symmetry import (
     _c3_pairings,
     _c4_chains,
     _c4_e0,
+    _c4_plans,
     _c4_values,
     _ChainPlans,
     _JetApplier,
@@ -310,6 +311,41 @@ def test_jet_image_above_the_plans_order(unit_ops):
         ja.image(unit_ops.M[0], fjet, 7)
 
 
+def test_c4_column_jets_are_prefixes_of_order_6_jets(unit_ops):
+    """Each term column's jet is built at the order `_c4_plans` needs it
+    at, 3, 4 or 6, and equals the leading entries of the order-6
+    `PointJet.term` jet of the same term."""
+    plans, orders = _c4_plans(unit_ops, _c4_chains(unit_ops))
+    assert sorted(set(orders.tolist())) == [3, 4, 6]
+    for p in c4_test_points():
+        ja, hi = _JetApplier(p, plans, orders), PointJet(p, 6)
+        for term, order, row in zip(plans.terms, orders.tolist(), ja._tjets):
+            dim = _JetSpace.get(order).dim
+            want = hi.term(*term)[:dim]
+            assert np.allclose(row[:dim], want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
+
+
+def test_jet_image_above_a_columns_order_raises(unit_ops):
+    """With the term columns at the orders `_c4_plans` needs them at, the
+    chain factor whose columns reach lowest is served up to that order, as
+    by an applier with every column at order 6, and an image above it
+    raises instead of reading entries its columns do not have."""
+    chains = _c4_chains(unit_ops)
+    plans, orders = _c4_plans(unit_ops, chains)
+    factors = list({id(op): op for _, fs, _ in chains for op in fs}.values())
+    reach = [int(orders[plans.get(op).coef.cols].min()) for op in factors]
+    low = min(reach)
+    op = factors[reach.index(low)]
+    assert low < orders.max()
+    p, fjet = c4_test_points()[0], c4_test_jets(1)[0]
+    got = _JetApplier(p, plans, orders).image(op, fjet, low)
+    want = _JetApplier(p, plans, 6).image(op, fjet, low)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match=f"order {low}, not {low + 1}"):
+        _JetApplier(p, plans, orders).image(op, fjet, low + 1)
+
+
 @pytest.mark.parametrize("params", [UnitParams(), SCALED],
                          ids=["unit", "scaled"])
 @pytest.mark.parametrize("m,r", [(0, 1), (2, 4)])
@@ -374,6 +410,21 @@ def test_applied_c4_sees_every_derivative_order(unit_ops, extra):
     quadratic f would annihilate, or of order 8, the order of the left
     side, shows in the residual."""
     assert _c4_worst(unit_ops, _c4_chains(unit_ops) + [extra(unit_ops)]) > 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the C4 row is summed at two fixed points, x0 = 1/4 and x0 = -3/5, so "
+    "a wrong term whose coefficient vanishes at both is not seen; random "
+    "points (ROADMAP item 1) would see it"))
+def test_applied_c4_sees_a_term_that_vanishes_at_the_test_points(unit_ops):
+    """1000 (x0 - 1/4)(x0 + 3/5) d0^2 is a wrong term of the residual
+    operator, and the row should see it.  Its coefficient is zero at both
+    test points, so today the residual does not move."""
+    x0 = ScalarExpr.term(1, (1, 0, 0, 0, 0))
+    coef = (x0 - ScalarExpr.const(Fraction(1, 4))) \
+        * (x0 + ScalarExpr.const(Fraction(3, 5)))
+    extra = (1000.0, (OperatorExpr.from_scalar(coef) @ _d(0, 0),), 0)
+    assert _c4_worst(unit_ops, _c4_chains(unit_ops) + [extra]) > 1e-6
 
 
 def test_applied_c4_at_nonunit_units():
