@@ -103,12 +103,23 @@ class _JetSpace:
         Degree block k of a meets the leading entries of b in one matmul,
         and the blocks, flattened in order, are the products of the (ia, ib)
         pairs, each summed over j; they are binned on ic.  For J = 1 this is
-        ``mul`` up to rounding, and slower; for large J the matmuls do the
-        work of gathering a[s][:, ia] * b[:, ib] at a fraction of its cost.
+        ``mul`` up to rounding (and, for a single product, slower); for
+        large J the matmuls do the work of gathering a[s][:, ia] * b[:, ib]
+        at a fraction of its cost.
         """
         n = a.shape[0]
-        prod = np.concatenate([(a[:, i:j] @ b[:, :w]).reshape(n, -1)
-                               for i, j, w in self.blocks], axis=1)
+        blocks = []
+        for i, j, w in self.blocks:
+            # Every product stays matrix-matrix: numpy hands one with a
+            # single row or column to gemv, which OpenBLAS runs threaded
+            # from a few thousand entries on, and its worker thread then
+            # spins on a core of its own for a while after each call.
+            if j - i == 1:
+                blocks.append(a[:, i] @ b[:, :w])
+            else:
+                blocks.append((a[:, i:j] @ b[:, :max(w, 2)])[..., :w]
+                              .reshape(n, -1))
+        prod = np.concatenate(blocks, axis=1)
         out = np.empty((n, 2 * self.dim))
         for s in range(n):
             out[s] = np.bincount(self._ic2, prod[s].view(float), 2 * self.dim)

@@ -641,7 +641,7 @@ class _JetApplier:
         lo = _JetSpace.get(order)
         a = (pl.coef @ self.term_jets(op, order)).reshape(2, -1, lo.dim)
         src, scale = pl.gather(order)
-        shifted = (fjet[:, src] * scale).reshape(-1, lo.dim)
+        shifted = (np.take(fjet, src, axis=1) * scale).reshape(-1, lo.dim)
         return lo.stack_mul(a.transpose(0, 2, 1), shifted)
 
     def chain(self, factors: tuple, fjet: np.ndarray) -> np.ndarray:
