@@ -28,6 +28,7 @@ variable (seed only) < explicit overrides from command-line flags.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,8 +86,8 @@ class SuiteConfig:
             raise ConfigError(f"n_points must be at least 64, got {self.n_points}")
         if len(self.charge_nodes) != 4 or any(n < 1 for n in self.charge_nodes):
             raise ConfigError(f"charge_nodes needs four counts >= 1, got {self.charge_nodes}")
-        if not self.charge_radius > 0:
-            raise ConfigError(f"charge_radius must be positive, got {self.charge_radius}")
+        if not 0 < self.charge_radius < math.inf:
+            raise ConfigError(f"charge_radius must be finite and > 0, got {self.charge_radius}")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}")

@@ -757,19 +757,22 @@ class ScalarExpr:
             r2 = p.r_squared()
             r = rational_sqrt(r2)
             if r is not None:
-                return self._evaluate_exact(p.xs, r)
-            return self._evaluate_float(tuple(float(v) for v in p.xs),
-                                        float(r2) ** 0.5)
-        return self._evaluate_float(p.xs, p.r_squared() ** 0.5)
+                return self._evaluate(p.xs, r, Fraction, lambda c: c)
+            xs, r = tuple(float(v) for v in p.xs), float(r2) ** 0.5
+        else:
+            xs, r = p.xs, p.r_squared() ** 0.5
+        return self._evaluate(xs, r, float, GaussRat.to_complex)
 
-    def _evaluate_exact(self, xs, r: Fraction):
+    def _evaluate(self, xs, r, real, coeff):
+        """Sum of coeff(c) x^m r^rp axis^ap, the factors built in type real:
+        Fraction with coeff the identity, or float with GaussRat.to_complex."""
         s = self.chart if self.chart else CHART_A
         axis = r + s * xs[0]
-        total = GR_ZERO
+        total = coeff(GR_ZERO)
         for (m, rp, ap), c in self._t.items():
             if (rp < 0 and r == 0) or (ap < 0 and axis == 0):
                 raise SingularPoint(f"zero denominator at {tuple(xs)}")
-            f = Fraction(1)
+            f = real(1)
             for xi, mi in zip(xs, m):
                 if mi:
                     f *= xi ** mi
@@ -777,25 +780,7 @@ class ScalarExpr:
                 f *= r ** rp
             if ap:
                 f *= axis ** ap
-            total = total + c * f
-        return total
-
-    def _evaluate_float(self, xs, r: float) -> complex:
-        s = self.chart if self.chart else CHART_A
-        axis = r + s * xs[0]
-        total = 0j
-        for (m, rp, ap), c in self._t.items():
-            if (rp < 0 and r == 0.0) or (ap < 0 and axis == 0.0):
-                raise SingularPoint(f"zero denominator at {tuple(xs)}")
-            f = 1.0
-            for xi, mi in zip(xs, m):
-                if mi:
-                    f *= xi ** mi
-            if rp:
-                f *= r ** rp
-            if ap:
-                f *= axis ** ap
-            total += c.to_complex() * f
+            total = total + coeff(c) * f
         return total
 
     # ----- display ------------------------------------------------------

@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import ChartMismatch
 from .exact import (CHART_A, CHART_B, GaussRat, Point5, ScalarExpr, X)
-from .operators import eps3
-from .transforms import HyperSpherical, hyperspherical_inverse, inverse_jacobian, space_angles
+from .operators import eps3, perm_sign
+from .transforms import (HyperSpherical, angular_jacobian, hyperspherical_inverse,
+                         inverse_jacobian, space_angles)
 
 # Antisymmetric 5x5 generator blocks, row and column 0 empty.  Entries
 # are +-i/2; the bar variant flips every entry that pairs index a with 4.
@@ -608,18 +609,23 @@ def angular_field_at(a: int, h: HyperSpherical, chart: int = CHART_A) -> np.ndar
     return J @ cartesian_field_at(a, x, chart) @ J.T
 
 
+def _random_point(rng) -> HyperSpherical:
+    """A point off the chart's singular set, drawn as r, theta, alpha, beta, gamma."""
+    return HyperSpherical(
+        r=rng.uniform(0.5, 2.0),
+        theta=rng.uniform(0.3, pi - 0.3),
+        alpha=rng.uniform(0.1, 2 * pi - 0.1),
+        beta=rng.uniform(0.3, pi - 0.3),
+        gamma=rng.uniform(0.1, 4 * pi - 0.1),
+    )
+
+
 def angular_field_check(n_points: int = 50, seed: int = 0) -> float:
     """Worst deviation of the pulled-back field from the angular listing."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_points):
-        h = HyperSpherical(
-            r=rng.uniform(0.5, 2.0),
-            theta=rng.uniform(0.3, pi - 0.3),
-            alpha=rng.uniform(0.1, 2 * pi - 0.1),
-            beta=rng.uniform(0.3, pi - 0.3),
-            gamma=rng.uniform(0.1, 4 * pi - 0.1),
-        )
+        h = _random_point(rng)
         for a in (1, 2, 3):
             Fb = angular_field_at(a, h)
             for c1 in ("r",) + Y_ANGULAR:
@@ -635,10 +641,8 @@ def angular_field_check(n_points: int = 50, seed: int = 0) -> float:
 
 def induced_metric(h: HyperSpherical) -> np.ndarray:
     """Metric of the radius-r sphere in (theta, beta, alpha, gamma) order."""
-    J = np.array(inverse_jacobian(h))
-    rows = [_XBAR_INDEX[c] for c in Y_ANGULAR]
-    Jang = J[rows]
-    return Jang @ Jang.T
+    J = np.array(angular_jacobian(h))
+    return J @ J.T
 
 
 def sqrt_det_metric(h: HyperSpherical) -> float:
@@ -652,13 +656,7 @@ def sqrt_det_metric_closed(h: HyperSpherical) -> float:
 
 _EPS4 = np.zeros((4, 4, 4, 4))
 for perm in permutations(range(4)):
-    sign = 1
-    pl = list(perm)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if pl[i] > pl[j]:
-                sign = -sign
-    _EPS4[perm] = sign
+    _EPS4[perm] = perm_sign(perm)
 
 
 def angular_block(Fbar: np.ndarray) -> np.ndarray:
@@ -681,13 +679,7 @@ def self_duality_check(n_points: int = 50, seed: int = 0,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_points):
-        h = HyperSpherical(
-            r=rng.uniform(0.5, 2.0),
-            theta=rng.uniform(0.3, pi - 0.3),
-            alpha=rng.uniform(0.1, 2 * pi - 0.1),
-            beta=rng.uniform(0.3, pi - 0.3),
-            gamma=rng.uniform(0.1, 4 * pi - 0.1),
-        )
+        h = _random_point(rng)
         g = induced_metric(h)
         for a in (1, 2, 3):
             Fb = angular_block(angular_field_at(a, h, chart))

@@ -83,12 +83,8 @@ class _JetSpace:
         return sp
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        prod = a[self.ia] * b[self.ib]
-        out = np.bincount(self.ic, weights=prod.real, minlength=self.dim) \
-            .astype(complex)
-        out += 1j * np.bincount(self.ic, weights=prod.imag,
-                                minlength=self.dim)
-        return out
+        """The truncated product of two jets: ``stack_mul`` at S = J = 1."""
+        return self.stack_mul(a[None, :, None], b[None])[0]
 
     @cached_property
     def _ic2(self) -> np.ndarray:
@@ -102,10 +98,11 @@ class _JetSpace:
         a has shape (S, dim, J), one jet per column, and b shape (J, dim).
         Degree block k of a meets the leading entries of b in one matmul,
         and the blocks, flattened in order, are the products of the (ia, ib)
-        pairs, each summed over j; they are binned on ic.  For J = 1 this is
-        ``mul`` up to rounding (and, for a single product, slower); for
-        large J the matmuls do the work of gathering a[s][:, ia] * b[:, ib]
-        at a fraction of its cost.
+        pairs, each summed over j; they are binned on ic.  For large J the
+        matmuls do the work of gathering a[s][:, ia] * b[:, ib] at a
+        fraction of its cost.  At J = 1 (``mul``) real-valued jets give
+        that gathered product bit for bit; complex ones can differ from it
+        in the last bit, as BLAS forms complex products its own way.
         """
         n = a.shape[0]
         blocks = []

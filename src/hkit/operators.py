@@ -92,6 +92,16 @@ def eps3(a: int, b: int, c: int) -> int:
     return EPS3.get((a, b, c), 0)
 
 
+def perm_sign(seq) -> int:
+    """(-1) to the number of inversions of a sequence of distinct numbers."""
+    s = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                s = -s
+    return s
+
+
 # ----- Leibniz rule ----------------------------------------------------------
 
 _LEIBNIZ: dict[Deriv, list[tuple[Deriv, int, Deriv]]] = {}

@@ -22,10 +22,10 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .exact import CHART_A, GaussRat, Point5, ScalarExpr, X
+from .exact import CHART_A, GaussRat, Point5, ScalarExpr, X, run_starts
 from .gauge import field_tensor, vector_potential
 from .jets import PointJet, _JetSpace, shift_table
-from .operators import OperatorExpr, word_matrix
+from .operators import OperatorExpr, perm_sign as _perm_sign, word_matrix
 from .params import UnitParams
 
 _ZD = (0, 0, 0, 0, 0)
@@ -256,16 +256,6 @@ def verify_relation(ops: SymmetryOperators, name: str) -> RelationResult:
 
 # ----- cleared Casimir identities ------------------------------------------------
 
-def _perm_sign(seq) -> int:
-    s = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                s = -s
-    return s
-
-
 def _cleared_c2(ops: SymmetryOperators) -> OperatorExpr:
     """K = mu0 e2^2 / hbar^2 + (2 T^2 - 4)(-2H), the cleared C2 value."""
     p = ops.params
@@ -422,15 +412,6 @@ def _c4_chains(ops: SymmetryOperators) -> list[tuple]:
     return [(float(c), factors, k) for c, factors, k in chains]
 
 
-def _segment_starts(*keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal entries begins in the sorted key arrays."""
-    new = np.zeros(keys[0].size, dtype=bool)
-    new[:1] = True
-    for k in keys:
-        new[1:] |= k[1:] != k[:-1]
-    return np.flatnonzero(new)
-
-
 @dataclass(frozen=True)
 class _RowSums:
     """A complex matrix as its entries, sorted by (row, col) with
@@ -452,13 +433,13 @@ class _RowSums:
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         vals = np.asarray(vals, dtype=complex)
+        if not rows.size:  # run_starts finds one run even in no entries
+            return cls(shape, rows, rows, cols, vals)
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
-        first = _segment_starts(rows, cols)
-        if first.size:
-            vals = np.add.reduceat(vals, first)
-        rows, cols = rows[first], cols[first]
-        starts = _segment_starts(rows)
+        first = run_starts(rows * shape[1] + cols)
+        rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
+        starts = run_starts(rows)
         return cls(shape, rows[starts], starts, cols, vals)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ in cos(theta) and cos(beta) plus uniform nodes in the two periodic angles
 integrate it exactly once every node count reaches EXACT_NODES, whose
 docstring gives the derivation.  The reported error estimate is a truncation
 estimate: 0 at or above those counts, otherwise the distance to the exact
-grid.  It has no rounding term.
+grid.  It has no rounding term.  The nodes are pulled back through the
+same map and Jacobian (transforms) that the pointwise field rows use.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from math import pi
 import numpy as np
 
 from .exact import CHART_A, ScalarExpr
-from .gauge import _EPS4, Y_ANGULAR, _XBAR_INDEX, field_tensor, induced_metric, angular_field_at
-from .transforms import HyperSpherical
+from .gauge import _EPS4, angular_block, angular_field_at, field_tensor, induced_metric
+from .transforms import HyperSpherical, angular_jacobian, hyperspherical_inverse
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,10 @@ def charge_density(h: HyperSpherical, chart: int = CHART_A) -> float:
     reference implementation for the fast pipeline.
     """
     g = induced_metric(h)
-    ginv = np.linalg.inv(g)
     sqg = float(np.sqrt(np.linalg.det(g)))
     total = 0.0
-    rows = [_XBAR_INDEX[c] for c in Y_ANGULAR]
     for a in (1, 2, 3):
-        Fb = angular_field_at(a, h, chart)[np.ix_(rows, rows)]
+        Fb = angular_block(angular_field_at(a, h, chart))
         dual_up = np.einsum("mnrs,rs->mn", _EPS4, Fb) / (2 * sqg)
         total += float(np.einsum("mn,mn->", dual_up, Fb))
     return total
@@ -126,55 +125,17 @@ def _angular_nodes(spec: QuadratureSpec):
     return TH.ravel(), BE.ravel(), AL.ravel(), GA.ravel(), W.ravel()
 
 
-def _batched_jacobian(r, TH, BE, AL, GA):
-    """Rows d x_m / d (theta, beta, alpha, gamma), shape (N, 4, 5)."""
-    st, ct = np.sin(TH), np.cos(TH)
-    sb, cb = np.sin(BE / 2), np.cos(BE / 2)
-    sm, cm = np.sin((AL - GA) / 2), np.cos((AL - GA) / 2)
-    sp, cp = np.sin((AL + GA) / 2), np.cos((AL + GA) / 2)
-    N = TH.shape[0]
-    J = np.zeros((N, 4, 5))
-    J[:, 0, 0] = -r * st
-    J[:, 0, 1] = r * ct * sb * sm
-    J[:, 0, 2] = r * ct * sb * cm
-    J[:, 0, 3] = r * ct * cb * sp
-    J[:, 0, 4] = r * ct * cb * cp
-    J[:, 1, 1] = r * st * cb * sm / 2
-    J[:, 1, 2] = r * st * cb * cm / 2
-    J[:, 1, 3] = -r * st * sb * sp / 2
-    J[:, 1, 4] = -r * st * sb * cp / 2
-    J[:, 2, 1] = r * st * sb * cm / 2
-    J[:, 2, 2] = -r * st * sb * sm / 2
-    J[:, 2, 3] = r * st * cb * cp / 2
-    J[:, 2, 4] = -r * st * cb * sp / 2
-    J[:, 3, 1] = -r * st * sb * cm / 2
-    J[:, 3, 2] = r * st * sb * sm / 2
-    J[:, 3, 3] = r * st * cb * cp / 2
-    J[:, 3, 4] = -r * st * cb * sp / 2
-    return J
-
-
-def _surface_points(r, TH, BE, AL, GA):
-    st = np.sin(TH)
-    sb, cb = np.sin(BE / 2), np.cos(BE / 2)
-    xs = np.stack([
-        r * np.cos(TH),
-        r * st * sb * np.sin((AL - GA) / 2),
-        r * st * sb * np.cos((AL - GA) / 2),
-        r * st * cb * np.sin((AL + GA) / 2),
-        r * st * cb * np.cos((AL + GA) / 2),
-    ])
-    return xs
-
-
 def _charge_once(spec: QuadratureSpec, chart: int) -> tuple[float, np.ndarray]:
     TH, BE, AL, GA, W = _angular_nodes(spec)
-    r = spec.radius
-    xs = _surface_points(r, TH, BE, AL, GA)
-    rr = np.full(TH.shape, float(r))
+    h = HyperSpherical(spec.radius, TH, AL, BE, GA)
+    xs = hyperspherical_inverse(h)
+    rr = np.full(TH.shape, float(spec.radius))
     sign = 1.0 if chart == CHART_A else -1.0
     axis = rr + sign * xs[0]
-    J = _batched_jacobian(r, TH, BE, AL, GA)
+    J = np.empty((TH.shape[0], 4, 5))
+    for m, row in enumerate(angular_jacobian(h)):
+        for n, v in enumerate(row):
+            J[:, m, n] = v
     comps = []
     for a in (1, 2, 3):
         F = field_tensor(a, chart)

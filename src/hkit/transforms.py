@@ -15,7 +15,9 @@ and `matrix_vs_map_audit` reports exactly where the two disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, pi, sin, sqrt
+from math import atan2, pi, sqrt
+
+import numpy as np
 
 from .errors import BadDimension, UndefinedAngle, ZeroRadius
 
@@ -228,35 +230,43 @@ def hyperspherical(x) -> HyperSpherical:
     return HyperSpherical(r, theta, a.alpha, a.beta, a.gamma)
 
 
-def hyperspherical_inverse(h: HyperSpherical):
-    """Cartesian point from (r, theta, alpha, beta, gamma)."""
-    st = sin(h.theta)
+def _angle_trig(h: HyperSpherical):
+    """sin and cos of theta, beta / 2, (alpha - gamma) / 2, (alpha + gamma) / 2."""
     half_m = (h.alpha - h.gamma) / 2
     half_p = (h.alpha + h.gamma) / 2
-    return (
-        h.r * cos(h.theta),
-        h.r * st * sin(h.beta / 2) * sin(half_m),
-        h.r * st * sin(h.beta / 2) * cos(half_m),
-        h.r * st * cos(h.beta / 2) * sin(half_p),
-        h.r * st * cos(h.beta / 2) * cos(half_p),
-    )
+    return (np.sin(h.theta), np.cos(h.theta), np.sin(h.beta / 2),
+            np.cos(h.beta / 2), np.sin(half_m), np.cos(half_m),
+            np.sin(half_p), np.cos(half_p))
+
+
+def hyperspherical_inverse(h: HyperSpherical):
+    """Cartesian point from (r, theta, alpha, beta, gamma); angles may be arrays."""
+    st, ct, sb, cb, sm, cm, sp, cp = _angle_trig(h)
+    r = h.r
+    return (r * ct, r * st * sb * sm, r * st * sb * cm, r * st * cb * sp,
+            r * st * cb * cp)
+
+
+def angular_jacobian(h: HyperSpherical):
+    """Rows d x_m / d (theta, beta, alpha, gamma) of the inverse map, the
+    tangent frame of the radius-r sphere; the angles may be arrays."""
+    st, ct, sb, cb, sm, cm, sp, cp = _angle_trig(h)
+    r = h.r
+    return [
+        [-r * st, r * ct * sb * sm, r * ct * sb * cm,
+         r * ct * cb * sp, r * ct * cb * cp],
+        [0.0, r * st * cb * sm / 2, r * st * cb * cm / 2,
+         -r * st * sb * sp / 2, -r * st * sb * cp / 2],
+        [0.0, r * st * sb * cm / 2, -r * st * sb * sm / 2,
+         r * st * cb * cp / 2, -r * st * cb * sp / 2],
+        [0.0, -r * st * sb * cm / 2, r * st * sb * sm / 2,
+         r * st * cb * cp / 2, -r * st * cb * sp / 2],
+    ]
 
 
 def inverse_jacobian(h: HyperSpherical):
     """Rows d x_m / d (r, theta, alpha, beta, gamma) of the inverse map."""
-    st, ct = sin(h.theta), cos(h.theta)
-    sb, cb = sin(h.beta / 2), cos(h.beta / 2)
-    sm, cm = sin((h.alpha - h.gamma) / 2), cos((h.alpha - h.gamma) / 2)
-    sp, cp = sin((h.alpha + h.gamma) / 2), cos((h.alpha + h.gamma) / 2)
-    r = h.r
-    return [
-        [ct, st * sb * sm, st * sb * cm, st * cb * sp, st * cb * cp],
-        [-r * st, r * ct * sb * sm, r * ct * sb * cm,
-         r * ct * cb * sp, r * ct * cb * cp],
-        [0.0, r * st * sb * cm / 2, -r * st * sb * sm / 2,
-         r * st * cb * cp / 2, -r * st * cb * sp / 2],
-        [0.0, r * st * cb * sm / 2, r * st * cb * cm / 2,
-         -r * st * sb * sp / 2, -r * st * sb * cp / 2],
-        [0.0, -r * st * sb * cm / 2, r * st * sb * sm / 2,
-         r * st * cb * cp / 2, -r * st * cb * sp / 2],
-    ]
+    st, ct, sb, cb, sm, cm, sp, cp = _angle_trig(h)
+    theta, beta, alpha, gamma = angular_jacobian(h)
+    return [[ct, st * sb * sm, st * sb * cm, st * cb * sp, st * cb * cp],
+            theta, alpha, beta, gamma]

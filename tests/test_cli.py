@@ -213,6 +213,18 @@ def test_verify_charge_below_exact_nodes_reports_truncation(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_non_finite_charge_radius_exits_2(capsys, tmp_path, radius):
+    """A radius that would put Infinity or NaN into the JSON report is
+    rejected before any suite runs."""
+    config = _grids(tmp_path, f"charge_radius = {radius}\n")
+    code, out, err = run(capsys, "report", "--suites", "charge",
+                         "--config", config)
+    assert code == 2
+    assert out == ""
+    assert "charge_radius" in err
+
+
 def test_report_spectrum_deterministic(capsys):
     strip = lambda text: [l for l in text.splitlines()
                           if '"timestamp"' not in l]

@@ -137,6 +137,8 @@ def test_unknown_override_key():
     {"hbar": Fraction(0)},
     {"e2": Fraction(-1)},
     {"suites": ("nope",)},
+    {"charge_radius": float("inf")},
+    {"charge_radius": float("nan")},
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ConfigError):

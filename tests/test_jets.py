@@ -112,6 +112,22 @@ def test_stack_mul_matches_gathered_products(order, J):
                        atol=0)
 
 
+@pytest.mark.parametrize("order", range(9))
+def test_mul_is_the_gathered_product(order):
+    """`mul`, the J = 1 case of `stack_mul`, gives the gathered pair
+    products exactly on real-valued jets, the only kind `PointJet`
+    multiplies, and to rounding on complex ones."""
+    sp = _JetSpace.get(order)
+    rng = np.random.default_rng(order)
+    for _ in range(20):
+        a, b = rng.normal(size=(2, sp.dim)) + 0j
+        want = _gathered_stack_mul(sp, a[None, :, None], b[None])[0]
+        assert (sp.mul(a, b) == want).all()
+        a, b = a + 1j * rng.normal(size=sp.dim), b + 1j * rng.normal(size=sp.dim)
+        want = _gathered_stack_mul(sp, a[None, :, None], b[None])[0]
+        assert np.allclose(sp.mul(a, b), want, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("order", range(7))
 def test_stacked_terms_are_prefixes_of_order_6_terms(order):
     """`PointJet.terms` at any order from 0 up gives the leading entries of

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from hkit.errors import BadDimension, UndefinedAngle, ZeroRadius
 from hkit.transforms import (
+    HyperSpherical,
     euler_defect,
     h_matrix,
     h_matrix_orthogonality_check,
     hurwitz_map,
     hyperspherical,
     hyperspherical_inverse,
+    inverse_jacobian,
     kustaanheimo_stiefel_map,
     levi_civita_map,
     matrix_vs_map_audit,
@@ -148,6 +150,29 @@ def test_hyperspherical_round_trip_property():
         checked += 1
         back = hyperspherical_inverse(hyperspherical(x))
         assert max(abs(a - b) for a, b in zip(back, x)) < 1e-12
+
+
+def test_inverse_map_and_jacobian_on_arrays_match_pointwise():
+    """Evaluated on arrays of angles, as the charge quadrature does on its
+    nodes, the inverse map and its Jacobian hold at each entry the bits
+    they give at that point alone."""
+    rng = np.random.default_rng(5)
+    n = 200
+    h = HyperSpherical(1.7, rng.uniform(0, math.pi, n),
+                       rng.uniform(0, 2 * math.pi, n),
+                       rng.uniform(0, math.pi, n),
+                       rng.uniform(0, 4 * math.pi, n))
+    points = [HyperSpherical(h.r, float(h.theta[k]), float(h.alpha[k]),
+                             float(h.beta[k]), float(h.gamma[k]))
+              for k in range(n)]
+    xs = np.stack(hyperspherical_inverse(h), axis=1)
+    want = np.array([hyperspherical_inverse(p) for p in points])
+    assert xs.tobytes() == want.tobytes()
+    jac = np.stack([np.stack(np.broadcast_arrays(*row), axis=1)
+                    for row in inverse_jacobian(h)], axis=1)
+    want = np.array([inverse_jacobian(p) for p in points])
+    assert jac.shape == (n, 5, 5)
+    assert jac.tobytes() == want.tobytes()
 
 
 def test_hyperspherical_error_cases():
