@@ -14,12 +14,55 @@ and `matrix_vs_map_audit` reports exactly where the two disagree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from math import atan2, pi, sqrt
+from operator import add
 
 import numpy as np
 
 from .errors import BadDimension, UndefinedAngle, ZeroRadius
+
+
+class IntPoly:
+    """Polynomial with int coefficients, as {exponent tuple: coefficient}
+    with no zero entries, so the zero polynomial has empty `terms`.  It
+    takes +, - and * with an int or an IntPoly in the same variables."""
+
+    def __init__(self, nvars: int, terms: dict[tuple[int, ...], int]):
+        self.nvars = nvars
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def variables(cls, nvars: int) -> list[IntPoly]:
+        return [cls(nvars, {tuple(int(i == k) for i in range(nvars)): 1})
+                for k in range(nvars)]
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = IntPoly(self.nvars, {(0,) * self.nvars: other})
+        out = Counter(self.terms)
+        out.update(other.terms)
+        return IntPoly(self.nvars, out)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return IntPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+        out: Counter = Counter()
+        for (ea, ca), (eb, cb) in product(self.terms.items(), other.terms.items()):
+            out[tuple(map(add, ea, eb))] += ca * cb
+        return IntPoly(self.nvars, out)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return not (self - other).terms
+
 
 # Rows of H(u; D) as (sign, index) pairs, indices 0-based into u.
 H_SPEC: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {
@@ -61,20 +104,12 @@ def h_matrix(u, dim: int | None = None):
 
 
 def h_matrix_orthogonality_check(dim: int) -> bool:
-    """Symbolic H H^T = u.u E, via bilinear coefficient bookkeeping."""
-    if dim not in H_SPEC:
-        raise BadDimension(f"no generalized rotation matrix in dimension {dim}")
-    rows = H_SPEC[dim]
-    for i, ri in enumerate(rows):
-        for j, rj in enumerate(rows):
-            acc: dict[tuple[int, int], int] = {}
-            for (si, ai), (sj, aj) in zip(ri, rj):
-                key = (ai, aj) if ai <= aj else (aj, ai)
-                acc[key] = acc.get(key, 0) + si * sj
-            want = {(k, k): 1 for k in range(dim)} if i == j else {}
-            if {k: v for k, v in acc.items() if v} != want:
-                return False
-    return True
+    """H H^T = (u.u) E as an identity of integer polynomials in u."""
+    u = IntPoly.variables(dim)
+    h = h_matrix(u)
+    uu = sum(v * v for v in u)
+    return all(sum(a * b for a, b in zip(ri, rj)) == (uu if i == j else 0)
+               for i, ri in enumerate(h) for j, rj in enumerate(h))
 
 
 def levi_civita_map(u):
@@ -119,47 +154,26 @@ def transform_map(u):
 
 
 def euler_defect(u):
-    """|x|^2 - |u|^4 for the map at u; exactly zero on rational input."""
+    """|x|^2 - |u|^4 for the map at u; on `IntPoly.variables(len(u))` it is
+    the zero polynomial, which proves |x| = |u|^2 for every u."""
     x = transform_map(u)
     nu = sum(v * v for v in u)
     return sum(v * v for v in x) - nu * nu
 
 
-def _sym_bilinear(expr_rows):
-    """Each component as {(i, j): coeff} over unordered index pairs."""
-    out = []
-    for row in expr_rows:
-        acc: dict[tuple[int, int], int] = {}
-        for coeff, i, j in row:
-            key = (i, j) if i <= j else (j, i)
-            acc[key] = acc.get(key, 0) + coeff
-        out.append({k: v for k, v in acc.items() if v})
-    return out
-
-
 def matrix_vs_map_audit() -> dict:
-    """Compare H(u; 8) u against the component formulas, symbolically.
+    """Compare H(u; 8) u against `hurwitz_map`, as polynomials in u.
 
     Returns which of the five head components agree, and whether the three
     trailing components of H u vanish identically.
     """
-    rows = H_SPEC[8]
-    hu = _sym_bilinear(
-        [[(s, j, k) for k in range(8) for s, j in [row[k]]] for row in rows]
-    )
-    m = _sym_bilinear([
-        [(1, 0, 0), (1, 1, 1), (1, 2, 2), (1, 3, 3),
-         (-1, 4, 4), (-1, 5, 5), (-1, 6, 6), (-1, 7, 7)],
-        [(2, 0, 4), (-2, 1, 5), (-2, 2, 6), (-2, 3, 7)],
-        [(2, 0, 5), (2, 1, 4), (-2, 2, 7), (2, 3, 6)],
-        [(2, 0, 6), (2, 1, 7), (2, 2, 4), (-2, 3, 5)],
-        [(2, 0, 7), (-2, 1, 6), (2, 2, 5), (2, 3, 4)],
-    ])
-    head = [hu[k] == m[k] for k in range(5)]
-    tail_zero = all(not hu[k] for k in (5, 6, 7))
+    u = IntPoly.variables(8)
+    hu = [sum(a * b for a, b in zip(row, u)) for row in h_matrix(u)]
+    x = hurwitz_map(u)
+    head = [hu[k] == x[k] for k in range(5)]
     return {
         "head_matches": head,
-        "tail_vanishes": tail_zero,
+        "tail_vanishes": all(hu[k] == 0 for k in (5, 6, 7)),
         "all_match": all(head),
     }
 

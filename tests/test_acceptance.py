@@ -40,7 +40,7 @@ from hkit.symmetry import (
     verify_relation,
 )
 from hkit.topology import QuadratureSpec, topological_charge
-from hkit.transforms import euler_defect, h_matrix_orthogonality_check
+from hkit.transforms import IntPoly, euler_defect, h_matrix_orthogonality_check
 
 SEED = 20240814
 
@@ -99,10 +99,12 @@ def test_criterion_04_norm_identity():
             u = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                       for _ in range(dim))
             worst = max(worst, abs(euler_defect(u)))
+    proved = all(euler_defect(IntPoly.variables(d)) == 0 for d in (2, 4, 8))
     symbolic = all(h_matrix_orthogonality_check(d) for d in (2, 4, 8))
-    _gate(4, worst == 0 and symbolic,
+    _gate(4, worst == 0 and proved and symbolic,
           "|x| = |u|^2 exact on 1000 rational points for each input "
-          "dimension 2, 4, 8; H H^T = u^2 E symbolically")
+          "dimension 2, 4, 8, and |x|^2 - |u|^4 is the zero polynomial; "
+          "H H^T = u^2 E symbolically")
 
 
 def test_criterion_05_gauge_orthogonality():

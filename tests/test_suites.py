@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hkit import suites, symmetry
+from hkit import suites, symmetry, transforms
 from hkit.cli import main
 from hkit.config import SuiteConfig
 from hkit.operators import OperatorExpr
@@ -96,6 +96,41 @@ def test_crashed_suite_is_a_numeric_row(monkeypatch):
     assert row.detail == "RuntimeError: boom"
     assert report.summary["exact"] == 0
     assert report.summary["numeric"] == 1
+
+
+def _euler_exact_rows(seed):
+    return [r for r in suites.run_euler(SuiteConfig(seed=seed))
+            if r.mode == MODE_EXACT]
+
+
+def test_euler_exact_rows_do_not_depend_on_the_seed():
+    rows = _euler_exact_rows(11)
+    assert [r.relation for r in rows] == [
+        "norm-identity-D2", "bilinear-orthogonality-D2",
+        "norm-identity-D4", "bilinear-orthogonality-D4",
+        "norm-identity-D8", "bilinear-orthogonality-D8",
+        "display-matrix-audit"]
+    assert rows == _euler_exact_rows(12)
+    assert all(r.passed for r in rows)
+    assert {r.detail for r in rows if r.relation.startswith("norm-")} == {
+        "identically zero as a polynomial in u"}
+
+
+@pytest.mark.parametrize("component", range(5))
+def test_perturbed_hurwitz_component_fails_norm_identity_d8(monkeypatch,
+                                                            component):
+    hurwitz = transforms.hurwitz_map
+
+    def perturbed(u):
+        x = list(hurwitz(u))
+        x[component] = x[component] + u[0] * u[1]
+        return tuple(x)
+
+    monkeypatch.setattr(transforms, "hurwitz_map", perturbed)
+    verdicts = {r.relation: r.passed for r in _euler_exact_rows(11)
+                if r.relation.startswith("norm-")}
+    assert verdicts == {"norm-identity-D2": True, "norm-identity-D4": True,
+                        "norm-identity-D8": False}
 
 
 def _reject_constant(name):

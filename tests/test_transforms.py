@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkit import transforms
 from hkit.errors import BadDimension, UndefinedAngle, ZeroRadius
 from hkit.transforms import (
     HyperSpherical,
+    IntPoly,
     euler_defect,
     h_matrix,
     h_matrix_orthogonality_check,
@@ -62,6 +64,21 @@ def test_euler_identity_d8(u):
     assert euler_defect(u) == 0
 
 
+def test_int_poly_keeps_a_cross_term():
+    u0, u1 = IntPoly.variables(2)
+    rest = (u0 + u1) * (u0 + u1) - u0 * u0 - u1 * u1
+    assert rest != 0
+    assert rest.terms == {(1, 1): 2}
+
+
+def test_int_poly_cancels_to_the_empty_dict():
+    u0, u1 = IntPoly.variables(2)
+    rest = (u0 + u1) * (u0 - u1) - u0 * u0 + u1 * u1
+    assert rest.terms == {}
+    assert rest == 0
+    assert (2 * u0 - 3 + u1 * 0 - (u0 + u0 - 3)).terms == {}
+
+
 def test_ks_fourth_row_dropped():
     """The 4x4 matrix has an identically-zero row, so the image is a 3-vector."""
     for u in ([1, 0, 0, 0], [Fraction(1, 2), Fraction(-2, 3), 3, Fraction(4, 5)]):
@@ -73,6 +90,17 @@ def test_ks_fourth_row_dropped():
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_h_matrix_orthogonality(dim):
     assert h_matrix_orthogonality_check(dim)
+
+
+def test_every_flipped_sign_of_h8_fails_orthogonality(monkeypatch):
+    rows = transforms.H_SPEC[8]
+    assert h_matrix_orthogonality_check(8)
+    for i, row in enumerate(rows):
+        for k, (s, j) in enumerate(row):
+            flipped = list(rows)
+            flipped[i] = row[:k] + ((-s, j),) + row[k + 1:]
+            monkeypatch.setitem(transforms.H_SPEC, 8, tuple(flipped))
+            assert not h_matrix_orthogonality_check(8), (i, k)
 
 
 def test_h_matrix_display_vs_map():
