@@ -108,8 +108,8 @@ def h_matrix_orthogonality_check(dim: int) -> bool:
     u = IntPoly.variables(dim)
     h = h_matrix(u)
     uu = sum(v * v for v in u)
-    return all(sum(a * b for a, b in zip(ri, rj)) == (uu if i == j else 0)
-               for i, ri in enumerate(h) for j, rj in enumerate(h))
+    return all(sum(a * b for a, b in zip(h[i], h[j])) == (uu if i == j else 0)
+               for i in range(dim) for j in range(i, dim))
 
 
 def levi_civita_map(u):
