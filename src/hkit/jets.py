@@ -292,17 +292,8 @@ class PointJet:
         return {g: jet[i] for i, g in enumerate(self.space.indices)}
 
 
-_SHIFT_CACHE: dict = {}
-
-
 def shift_table(hi: _JetSpace, lo: _JetSpace, d: tuple):
     """Index/scale arrays mapping a jet of f at high order to the jet of
     d^d f at low order: coefficient gamma picks up (gamma+d)!/gamma!."""
-    key = (hi.order, lo.order, d)
-    got = _SHIFT_CACHE.get(key)
-    if got is None:
-        src = hi.locate(lo.grid + d)
-        scale = hi.fact[src] / lo.fact
-        got = (src, scale)
-        _SHIFT_CACHE[key] = got
-    return got
+    src = hi.locate(lo.grid + d)
+    return src, hi.fact[src] / lo.fact

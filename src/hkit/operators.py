@@ -71,7 +71,6 @@ from .exact import (
     pair_key,
     ragged,
     run_starts,
-    unpack_key,
     widen,
 )
 from .gmat import SPIN, Mat, meye, mmul
@@ -736,17 +735,17 @@ class OperatorExpr:
         return self._dict().items()
 
     def float_terms(self):
-        """(keys, charts, start, terms, values): every coefficient's terms
-        in order, key k's at start[k]:start[k + 1], each as its key
-        (mono, rp, ap) and its complex value, rounded from the exact one as
-        ``GaussRat.to_complex`` rounds it; from the table, building no
-        ScalarExpr or GaussRat."""
+        """(keys, seg, chart, tk, values): every coefficient's terms in
+        order, term n of key seg[n] on that key's chart chart[n], packed as
+        tk[n] (``exact.pack_key``), with its complex value rounded from the
+        exact one as ``GaussRat.to_complex`` rounds it; from the table,
+        building no ScalarExpr or GaussRat."""
         t = self._table()
         den = t.den
-        return (t.keys, t.chart.tolist(), t.start.tolist(),
-                [unpack_key(k) for k in t.tk.tolist()],
-                [complex(a / den, b / den)
-                 for a, b in zip(t.re.tolist(), t.im.tolist())])
+        return (t.keys, t.seg, t.chart[t.seg], t.tk,
+                np.array([complex(a / den, b / den)
+                          for a, b in zip(t.re.tolist(), t.im.tolist())],
+                         dtype=complex))
 
     def __len__(self):
         if self._terms is None:

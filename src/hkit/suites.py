@@ -74,6 +74,7 @@ from .symmetry import (
 )
 from .topology import EXACT_NODES, QuadratureSpec, topological_charge
 from .transforms import (
+    HyperSpherical,
     IntPoly,
     euler_defect,
     h_matrix_orthogonality_check,
@@ -122,17 +123,15 @@ def run_euler(cfg: SuiteConfig) -> list[CheckReport]:
         f"{audit['tail_vanishes']}"))
 
     nrng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    count = 0
-    while count < 1000:
+    xs = []
+    while len(xs) < 1000:
         x = nrng.uniform(-2.0, 2.0, 5)
-        s1 = float(np.hypot(x[1], x[2]))
-        s2 = float(np.hypot(x[3], x[4]))
-        if s1 < 0.1 or s2 < 0.1:
-            continue
-        count += 1
-        back = hyperspherical_inverse(hyperspherical(x))
-        worst = max(worst, float(np.max(np.abs(np.asarray(back) - x))))
+        if np.hypot(x[1], x[2]) >= 0.1 and np.hypot(x[3], x[4]) >= 0.1:
+            xs.append(x)
+    angles = np.array([[h.r, h.theta, h.alpha, h.beta, h.gamma]
+                       for h in map(hyperspherical, xs)])
+    back = hyperspherical_inverse(HyperSpherical(*angles.T))
+    worst = float(np.max(np.abs(np.array(back).T - xs)))
     rows.append(_numeric("euler", "hyperspherical-round-trip",
                          "x -> (r, theta, alpha, beta, gamma) -> x", worst,
                          cfg.tolerances["round_trip"], "1000 random points"))

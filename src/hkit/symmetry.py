@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from functools import cache
+from itertools import accumulate, combinations, product
+from math import prod
 
 import numpy as np
 
-from .exact import CHART_A, GaussRat, Point5, ScalarExpr, X, run_starts
+from .exact import (CHART_A, GaussRat, Point5, ScalarExpr, X, run_starts,
+                    unpack_key)
 from .gauge import field_tensor, vector_potential
 from .jets import PointJet, _JetSpace, shift_table
 from .operators import OperatorExpr, perm_sign as _perm_sign, word_matrix
@@ -342,70 +345,42 @@ def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
 # operators applied one after another, and the list is summed at seeded
 # points on a seeded jet of f of full order 8, the order of the left side,
 # so no derivative of f that the residual operator could act on is left
-# out.  Every Mt stays a factor of its own; only the cheap sums E0,
-# EL5/E5L, K and T^2 are composed.
-
-def _c4_e0_parts(ops: SymmetryOperators, m: int, r: int) -> list:
-    """The parts of E0_mr = sum over nu other than m, r of L_m,nu L_nu,r."""
-    return [(1, ops.L(m, nu), ops.L(nu, r))
-            for nu in range(5) if nu not in (m, r)]
-
-
-def _c4_e0(ops: SymmetryOperators, m: int, r: int) -> OperatorExpr:
-    """E0_mr, composed."""
-    return OperatorExpr.combine(_c4_e0_parts(ops, m, r))
-
-
-def _c4_el5_e5l_parts(ops: SymmetryOperators, m: int) -> tuple[list, list]:
-    """The parts of EL5_m = sum_nu L_m,nu Mt_nu and E5L_m = sum_nu Mt_nu
-    L_nu,m."""
-    nus = [nu for nu in range(5) if nu != m]
-    return ([(1, ops.L(m, nu), ops.M[nu]) for nu in nus],
-            [(1, ops.M[nu], ops.L(nu, m)) for nu in nus])
-
+# out.  The left side is generated from its definition, one chain per
+# closed walk of the generator matrix; every L and Mt stays a factor of
+# its own, and only the cheap sums K and T^2 are composed.
 
 def _c4_chains(ops: SymmetryOperators) -> list[tuple]:
     """The cleared C4 residual as chains (coef, (op_1, ..., op_n), k), each
     one standing for coef op_1(...op_n((-2H)^k f)), outermost first.
 
-    With G1_mr = E0_mr (-2H) - Mt_m Mt_r / (4 mu0) the left side is
-
-        (1/2) sum_mr G1_mr G1_rm
-        - (1/(8 mu0)) sum_m (EL5_m E5L_m + E5L_m EL5_m)(-2H)
-        + (1/(32 mu0^2)) S S,        S = sum_i Mt_i Mt_i,
-
-    and since (-2H) commutes exactly with every L and Mt (verified first)
-    the G1 products expand into four patterns with (-2H) pushed onto f:
-    (E0_mr, E0_rm), (E0_mr, Mt_r, Mt_m), (Mt_m, Mt_r, E0_rm) and
-    (Mt_m, Mt_r, Mt_r, Mt_m).  S S is the 25 chains (Mt_i, Mt_i, Mt_j,
-    Mt_j).  The right side, with K the cleared C2 value,
+    The left side is (1/2) tr D~^4: one chain D~_ab D~_bc D~_cd D~_da per
+    closed 4-walk a -> b -> c -> d -> a of the 6 x 6 generator matrix, 630
+    of them, as no walk may stay on an index.  A walk with n5 steps in the
+    fifth row or column (Mt factors; n5 is 0, 2 or 4) carries
+    (1/(4 mu0))^(n5/2), and (-2H)^(2 - n5/2) clears the Hamiltonian out of
+    the rest; it is pushed onto f, since (-2H) commutes exactly with every
+    L and Mt (verified first).  D~ is antisymmetric, so a step below the
+    diagonal uses the generator above it with a minus sign: the chains use
+    15 distinct factors, the objects ops.L(i, j) for i < j and ops.M[i],
+    and `_chain_sum` shares their images between chains.  The right side,
+    with K the cleared C2 value,
 
         K K + 6 K (-2H) - 4 K T^2 (-2H) - 12 T^2 (-2H)^2 + 6 T^4 (-2H)^2,
 
-    enters negated.  Each Mt factor is the one object ops.M[i], so chains
-    that end in the same factors share their images in `_c4_values`.
+    enters negated as the last five chains.
     """
-    p = ops.params
-    q = Fraction(1, 4) / p.mu0
-    M = ops.M
-    mr = [(m, r) for m in range(5) for r in range(5)]
-    E0 = dict(zip(mr, OperatorExpr.combine_many(
-        _c4_e0_parts(ops, m, r) for m, r in mr)))
+    q = Fraction(1, 4) / ops.params.mu0
+    d = {(m, n): _so51_generator(ops, m, n)
+         for m, n in combinations(range(6), 2)}
     chains = []
-    for m in range(5):
-        for r in range(5):
-            chains += [(Fraction(1, 2), (E0[m, r], E0[r, m]), 2),
-                       (-q / 2, (E0[m, r], M[r], M[m]), 1),
-                       (-q / 2, (M[m], M[r], E0[r, m]), 1),
-                       (q * q / 2, (M[m], M[r], M[r], M[m]), 0)]
-    c1 = -Fraction(1, 8) / p.mu0
-    e5 = OperatorExpr.combine_many(
-        parts for m in range(5) for parts in _c4_el5_e5l_parts(ops, m))
-    for el5, e5l in zip(e5[::2], e5[1::2]):
-        chains += [(c1, (el5, e5l), 1), (c1, (e5l, el5), 1)]
-    c2 = Fraction(1, 32) / (p.mu0 * p.mu0)
-    chains += [(c2, (M[i], M[i], M[j], M[j]), 0)
-               for i in range(5) for j in range(5)]
+    for walk in product(range(6), repeat=4):
+        steps = list(zip(walk, walk[1:] + walk[:1]))
+        if all(m != n for m, n in steps):
+            n5 = sum(5 in step for step in steps)
+            sign = prod(1 if m < n else -1 for m, n in steps)
+            chains.append((sign * Fraction(1, 2) * q ** (n5 // 2),
+                           tuple(d[min(step), max(step)] for step in steps),
+                           2 - n5 // 2))
     K, T2 = _cleared_c2(ops), ops.T2
     chains += [(-1, (K, K), 0), (-6, (K,), 1), (4, (K, T2), 1),
                (12, (T2,), 2), (-6, (T2, T2), 2)]
@@ -493,9 +468,13 @@ class _ChainPlans:
     """
 
     def __init__(self):
-        self.terms: list[tuple] = []
         self._column: dict[tuple, int] = {}
         self._plans: dict[int, tuple[OperatorExpr, _ChainPlan]] = {}
+
+    @property
+    def terms(self) -> list[tuple]:
+        """Each column's term (mono, rp, ap, chart), in column order."""
+        return list(self._column)
 
     def get(self, op: OperatorExpr) -> _ChainPlan:
         got = self._plans.get(id(op))
@@ -504,48 +483,28 @@ class _ChainPlans:
             self._plans[id(op)] = got
         return got[1]
 
-    def applied_orders(self, factors: tuple) -> list[int]:
-        """The order each factor of a chain is applied at: the summed
-        orders of the factors outside it."""
-        return list(accumulate((self.get(op).order for op in factors[:-1]),
-                               initial=0))
-
-    def column_orders(self, uses) -> np.ndarray:
-        """The highest order any of uses, pairs (op, order) of an operator
-        and an order its image is taken at, needs each term column's jet
-        at; 0 for a column none of them reads.  Plans the uses need are
-        built first."""
-        uses = [(self.get(op).coef.cols, order) for op, order in uses]
-        out = np.zeros(len(self.terms), dtype=int)
-        for cols, order in uses:
-            out[cols] = np.maximum(out[cols], order)
-        return out
-
     def _build(self, op: OperatorExpr) -> _ChainPlan:
-        column = self._column
-        cols, words, dsel, derivs = [], [], [], {}
-        keys, charts, start, terms, vals = op.float_terms()
-        for k, (w, d) in enumerate(keys):
-            words.append(_word_mat_num(w))
-            dsel.append(derivs.setdefault(d, len(derivs)))
-            for n in range(start[k], start[k + 1]):
-                mono, rp, ap = terms[n]
-                term = (mono, rp, ap, charts[k] if ap else 0)
-                j = column.get(term)
-                if j is None:
-                    j = column[term] = len(self.terms)
-                    self.terms.append(term)
-                cols.append(j)
+        keys, seg, chart, tk, vals = op.float_terms()
+        derivs: dict[tuple, int] = {}
+        dsel = np.array([derivs.setdefault(d, len(derivs)) for _, d in keys],
+                        dtype=np.intp)
+        # each distinct (term, chart of its key) once, chart in {-1, 0, 1};
+        # a term without an axis factor is the same on either chart
+        codes, at = np.unique(tk * 3 + chart + 1, return_inverse=True)
+        cols = []
+        for code in codes.tolist():
+            mono, rp, ap = unpack_key(code // 3)
+            term = (mono, rp, ap, code % 3 - 1 if ap else 0)
+            cols.append(self._column.setdefault(term, len(self._column)))
+        cols = np.array(cols, dtype=np.intp)[at]
         # one entry per term and nonzero entry (s, b) of its key's word
-        key = np.repeat(np.arange(len(keys)), np.diff(start))
-        w = np.array(words, dtype=complex).reshape(-1, 2, 2)[key]
+        w = np.array([_word_mat_num(wd) for wd, _ in keys],
+                     dtype=complex).reshape(-1, 2, 2)[seg]
         s, b, n = np.nonzero(w.transpose(1, 2, 0))
         nd = len(derivs)
         coef = _RowSums.from_entries(
-            s * 2 * nd + b * nd + np.array(dsel, dtype=np.intp)[key[n]],
-            np.array(cols, dtype=np.intp)[n],
-            w[n, s, b] * np.array(vals, dtype=complex)[n],
-            (4 * nd, len(self.terms)))
+            s * 2 * nd + b * nd + dsel[seg[n]], cols[n], w[n, s, b] * vals[n],
+            (4 * nd, len(self._column)))
         order = max((sum(d) for d in derivs), default=0)
         return _ChainPlan(order, coef, tuple(derivs))
 
@@ -569,48 +528,25 @@ class _JetApplier:
     A chain op_1(...op_n(f)) is evaluated from the inside out: the image
     under op_n at the summed order of op_1 .. op_(n-1), the image of that
     under op_(n-1) at the order of the factors still outside it, and so
-    on, down to order 0, the value at the point.  Each image is memoized
-    by the input jet, the suffix of factors applied to it and its order,
-    so chains that end in the same factors compute them once.  Nothing is
-    composed or applied symbolically.  The plans and their shift stacks
-    live as long as the `_ChainPlans` passed in, one check in
-    `_c4_values`; the term jets and images live as long as the applier,
-    one point.  Jet spaces and shift tables are cached per order for the
-    process.
+    on, down to the order asked for.  Each image is memoized by the input
+    jet, the suffix of factors applied to it and its order, so chains that
+    end in the same factors compute them once.  Nothing is composed or
+    applied symbolically.  The plans and their shift stacks live as long
+    as the `_ChainPlans` passed in, one check in `_c4_values`; the term
+    jets and images live as long as the applier, one point.
 
-    ``orders`` gives the order of each term column's jet, one int for all
-    of them or one per column of the plans (`_ChainPlans.column_orders`);
-    the jets of every column the plans hold when the applier is made are
-    computed there, each at its own order.  An image of op at an order
-    above one of op's columns raises instead of reading a jet that is too
-    short, and no plan that adds a term column afterwards can be applied.
+    The jets of every term column the plans hold when the applier is made
+    are computed there, at its order; an image asked for above that order
+    raises instead of reading term jets that are too short, and no plan
+    that adds a term column afterwards can be applied.
     """
 
-    def __init__(self, p: Point5, plans: _ChainPlans, orders):
+    def __init__(self, p: Point5, plans: _ChainPlans, order: int):
         self.plans = plans
-        n = len(plans.terms)
-        self.orders = np.broadcast_to(np.asarray(orders, dtype=int), (n,))
-        self.order = int(self.orders.max(initial=0))
-        self._tjets = np.zeros((n, _JetSpace.get(self.order).dim),
-                               dtype=complex)
-        for order in np.unique(self.orders).tolist():
-            cols = np.flatnonzero(self.orders == order)
-            pj = PointJet(p, order)
-            self._tjets[cols, :pj.space.dim] = pj.terms(
-                [plans.terms[j] for j in cols.tolist()])
+        self.order = order
+        self._tjets = PointJet(p, order).terms(plans.terms)
         self._images: dict[tuple, np.ndarray] = {}
         self._inputs: dict[int, np.ndarray] = {}
-
-    def term_jets(self, op: OperatorExpr, order: int) -> np.ndarray:
-        """Jets at order of every term column, one row per column: prefixes
-        of the stored rows, because jets are sorted by degree.  Rows of
-        columns op does not use may be shorter; op's own must not be."""
-        reach = self.orders[self.plans.get(op).coef.cols].min(
-            initial=self.order)
-        if order > reach:
-            raise ValueError(f"term jets were computed at order {reach}, "
-                             f"not {order}")
-        return self._tjets[:, :_JetSpace.get(order).dim]
 
     def image(self, op: OperatorExpr, fjet: np.ndarray,
               order: int) -> np.ndarray:
@@ -618,21 +554,25 @@ class _JetApplier:
 
         fjet has shape (2, dim) at order plus the order of op, or higher.
         """
+        if order > self.order:
+            raise ValueError(f"term jets were computed at order "
+                             f"{self.order}, not {order}")
         pl = self.plans.get(op)
         lo = _JetSpace.get(order)
-        a = (pl.coef @ self.term_jets(op, order)).reshape(2, -1, lo.dim)
+        a = (pl.coef @ self._tjets[:, :lo.dim]).reshape(2, -1, lo.dim)
         src, scale = pl.gather(order)
         shifted = (np.take(fjet, src, axis=1) * scale).reshape(-1, lo.dim)
         return lo.stack_mul(a.transpose(0, 2, 1), shifted)
 
-    def chain(self, factors: tuple, fjet: np.ndarray) -> np.ndarray:
-        """Both components of factors[0](...factors[-1](f)) at the point.
+    def chain(self, factors, fjet: np.ndarray, order: int = 0) -> np.ndarray:
+        """Jet of factors[0](...factors[-1](f)) at order, shape (2, dim).
 
         The applier holds fjet, so its id keys the memo for as long as the
         memoized images do; fjet must not be changed in place afterwards.
         """
         self._inputs[id(fjet)] = fjet
-        orders = self.plans.applied_orders(factors)
+        orders = list(accumulate(
+            (self.plans.get(op).order for op in factors[:-1]), initial=order))
         jet, suffix = fjet, ()
         for i in reversed(range(len(factors))):
             suffix = (id(factors[i]),) + suffix
@@ -642,25 +582,45 @@ class _JetApplier:
                 got = self._images[key] = self.image(factors[i], jet,
                                                      orders[i])
             jet = got
-        return jet[:, 0]
+        return jet
 
 
-def _c4_plans(ops: SymmetryOperators,
-              chains: list[tuple]) -> tuple[_ChainPlans, np.ndarray]:
-    """The plans of (-2H) and of every chain factor, and the order each
-    term column's jet is needed at.
+def _c4_plans(ops: SymmetryOperators, chains: list[tuple]) -> _ChainPlans:
+    """The plans of (-2H) and of every chain factor, all built before the
+    first applier computes the term jets.
 
-    (-2H) is applied at orders 6 and 4, for f1 = (-2H) f and f2 = (-2H) f1;
-    a chain factor at the summed order of the factors outside it.  Each
-    column is needed at the highest order any operator that reads it is
-    applied at: 6 for the columns of (-2H) and of an Mt under three outer
-    factors, 3 or 4 for most others.
+    Every term column is needed at order 6: (-2H) is applied at order 6
+    for f1 = (-2H) f, and an Mt innermost under three more Mt at order 6
+    too, so the appliers make each column's jet once, at order 6.
     """
     plans = _ChainPlans()
-    uses = [(ops.minus_2H, 6), (ops.minus_2H, 4)]
-    for _, factors, _ in chains:
-        uses += zip(factors, plans.applied_orders(factors))
-    return plans, plans.column_orders(uses)
+    for op in (ops.minus_2H, *(op for _, fs, _ in chains for op in fs)):
+        plans.get(op)
+    return plans
+
+
+def _chain_sum(ja: _JetApplier, chains: list[tuple], fk: tuple,
+               order: int) -> np.ndarray:
+    """The jet at order of the sum of the chains (coef, factors, k), each
+    applied to fk[k].
+
+    The chains with more than two factors are grouped by their outermost
+    one: the sum of their inner chains is taken first, at that factor's
+    order plus order, and the factor is applied to it once.  Images are
+    linear, so this is exact.  The last two factors of a chain are applied
+    by `_JetApplier.chain`, whose memo shares them between chains.
+    """
+    out, groups = 0, {}
+    for coef, factors, k in chains:
+        if len(factors) > 2:
+            groups.setdefault(id(factors[0]), (factors[0], []))[1].append(
+                (coef, factors[1:], k))
+        else:
+            out = out + coef * ja.chain(factors, fk[k], order)
+    for op, inner in groups.values():
+        outer = order + ja.plans.get(op).order
+        out = out + ja.image(op, _chain_sum(ja, inner, fk, outer), order)
+    return out
 
 
 def _c4_values(ops: SymmetryOperators, chains: list[tuple],
@@ -669,34 +629,27 @@ def _c4_values(ops: SymmetryOperators, chains: list[tuple],
     point, for the jet of f there (order 8 or higher).
 
     f1 = (-2H) f at order 6 and f2 = (-2H) f1 at order 4 come from the same
-    plan set as the chains.  All plans are built before the first applier
-    (`_c4_plans`), so each point's applier computes every term column's jet
-    once, at the order the column is needed at, not all of them at order 6.
-    The plans and their shift stacks are dropped when this returns; each
-    point gets its own applier, so its term jets and memoized images are
-    freed before the next point's are made.
+    plan set as the chains, and `_chain_sum` adds the chains up: the last
+    two factors of a walk of the left side are memoized images, and its
+    outer two are applied once per distinct outer factor and pair, so the
+    630 walks need 15 images at order 0, one per generator.  The plans and
+    their shift stacks are dropped when this returns; each point gets its
+    own applier, so its term jets and memoized images are freed before the
+    next point's are made.
     """
-    plans, orders = _c4_plans(ops, chains)
+    plans = _c4_plans(ops, chains)
     vals = np.zeros((len(points), 2), dtype=complex)
     for n, (pt, f) in enumerate(zip(points, jets)):
-        ja = _JetApplier(pt, plans, orders)
+        ja = _JetApplier(pt, plans, 6)
         f1 = ja.image(ops.minus_2H, f, 6)
         fk = (f, f1, ja.image(ops.minus_2H, f1, 4))
-        for coef, factors, k in chains:
-            vals[n] += coef * ja.chain(factors, fk[k])
+        vals[n] = _chain_sum(ja, chains, fk, 0)[:, 0]
     return vals
 
 
-_WORD_MAT_NUM: dict = {}
-
-
+@cache
 def _word_mat_num(w):
-    m = _WORD_MAT_NUM.get(w)
-    if m is None:
-        g = word_matrix(w)
-        m = tuple(tuple(v.to_complex() for v in row) for row in g)
-        _WORD_MAT_NUM[w] = m
-    return m
+    return tuple(tuple(v.to_complex() for v in row) for row in word_matrix(w))
 
 
 @dataclass(frozen=True)

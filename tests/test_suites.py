@@ -11,6 +11,7 @@ from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hkit import suites, symmetry, transforms
@@ -131,6 +132,25 @@ def test_perturbed_hurwitz_component_fails_norm_identity_d8(monkeypatch,
                 if r.relation.startswith("norm-")}
     assert verdicts == {"norm-identity-D2": True, "norm-identity-D4": True,
                         "norm-identity-D8": False}
+
+
+@pytest.mark.parametrize("seed", [20240814, 11, 7, 12345])
+def test_round_trip_row_matches_the_pointwise_round_trip(seed):
+    """The round-trip row sends its 1000 points through
+    `hyperspherical_inverse` as arrays, and its residual is the one the
+    same points give one at a time, bit for bit."""
+    rng = np.random.default_rng(seed)
+    worst, count = 0.0, 0
+    while count < 1000:
+        x = rng.uniform(-2.0, 2.0, 5)
+        if np.hypot(x[1], x[2]) < 0.1 or np.hypot(x[3], x[4]) < 0.1:
+            continue
+        count += 1
+        back = transforms.hyperspherical_inverse(transforms.hyperspherical(x))
+        worst = max(worst, float(np.max(np.abs(np.asarray(back) - x))))
+    (row,) = [r for r in suites.run_euler(SuiteConfig(seed=seed))
+              if r.relation == "hyperspherical-round-trip"]
+    assert row.residual == worst
 
 
 def _reject_constant(name):

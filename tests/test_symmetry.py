@@ -11,18 +11,19 @@ import numpy as np
 import pytest
 
 from hkit import symmetry
-from hkit.exact import CHART_A, CHART_B, GaussRat, ScalarExpr, X
-from hkit.jets import PointJet, _JetSpace
+from hkit.exact import CHART_A, CHART_B, ScalarExpr, X
+from hkit.jets import PointJet
 from hkit.operators import IsoFun, OperatorExpr, apply
 from hkit.params import UnitParams
 from hkit.symmetry import (
     RELATION_NAMES,
     _c3_pairings,
     _c4_chains,
-    _c4_e0,
     _c4_plans,
     _c4_values,
+    _chain_sum,
     _ChainPlans,
+    _cleared_c2,
     _JetApplier,
     _perm_sign,
     _RowSums,
@@ -167,40 +168,64 @@ def test_relations_hold_at_large_rational_units():
     assert not casimir_c3_residual(bad).is_zero()
 
 
-def _c4_lhs_from_definition(ops):
-    """(1/2) sum of D~_ab D~_bc D~_cd D~_da over the closed 4-walks of the
-    6x6 generator matrix, as jet chains: a walk with n5 factors in the
-    fifth row or column (Mt factors) carries (1/(4 mu0))^(n5/2), and
-    (-2H)^(2 - n5/2) clears the Hamiltonian out of the rest."""
-    d = {(m, n): _so51_generator(ops, m, n)
-         for m in range(6) for n in range(6) if m != n}
-    q = Fraction(1, 4) / ops.params.mu0
-    chains = []
-    for walk in product(range(6), repeat=4):
-        steps = list(zip(walk, walk[1:] + walk[:1]))
-        if all(m != n for m, n in steps):
-            n5 = sum(5 in step for step in steps)
-            chains.append((float(Fraction(1, 2) * q ** (n5 // 2)),
-                           tuple(d[step] for step in steps), 2 - n5 // 2))
-    return chains
+def _generator_steps(ops):
+    """{id of the generator D~_ij, i < j, that `_c4_chains` uses: (i, j)}."""
+    return {id(_so51_generator(ops, i, j)): (i, j)
+            for i in range(6) for j in range(i + 1, 6)}
+
+
+def _walks_of(steps):
+    """The closed walks a chain's factors, given as index pairs, trace: one
+    per starting index of the first pair, each with its sign, the product
+    of -1 over the steps that run down the matrix."""
+    out = []
+    for start in steps[0]:
+        walk, at, sign = [], start, 1
+        for i, j in steps:
+            if at not in (i, j):
+                break
+            walk.append(at)
+            nxt = j if at == i else i
+            sign *= 1 if at < nxt else -1
+            at = nxt
+        else:
+            if at == start:
+                out.append((tuple(walk), sign))
+    return out
 
 
 @pytest.mark.parametrize("params", [UnitParams(), UnitParams(
     mu0=Fraction(3, 2), e2=Fraction(1, 3))], ids=["unit", "mu0-3/2"])
-def test_c4_left_side_matches_its_definition(params):
-    """The hand-expanded left side of `_c4_chains` (all but its last five
-    chains, the right side) equals the quartic contraction generated from
-    its definition, on the seeded points and jets."""
-    ops = build_operators(params)
-    lhs = _c4_chains(ops)[:-5]
-    assert len(lhs) == 135
-    generated = _c4_lhs_from_definition(ops)
-    assert len(generated) == 630
-    points = c4_test_points()
-    jets = c4_test_jets(len(points))
-    want = _c4_values(ops, lhs, points, jets)
-    got = _c4_values(ops, generated, points, jets)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+def test_c4_chains_are_the_closed_walks_then_the_right_side(params):
+    """The left side of `_c4_chains` is (1/2) tr D~^4: 630 chains, one per
+    closed 4-walk of the 6x6 generator matrix with no repeated consecutive
+    index, each weighted by its sign and (1/(4 mu0))^(n5/2) for its n5 Mt
+    steps, and cleared by (-2H)^(2 - n5/2).  The five right-side chains
+    follow, unchanged."""
+    ops, q = build_operators(params), float(Fraction(1, 4) / params.mu0)
+    chains = _c4_chains(ops)
+    assert len(chains) == 635
+    step = _generator_steps(ops)
+    kinds, traced = {}, set()
+    for coef, factors, k in chains[:630]:
+        steps = [step[id(op)] for op in factors]
+        n5 = sum(5 in st for st in steps)
+        kinds[n5, k] = kinds.get((n5, k), 0) + 1
+        walks = _walks_of(steps)
+        assert walks, steps
+        for walk, sign in walks:
+            assert all(a != b for a, b in zip(walk, walk[1:] + walk[:1]))
+            assert coef == pytest.approx(sign * 0.5 * q ** (n5 // 2),
+                                         rel=1e-15)
+            traced.add(walk)
+    assert kinds == {(0, 2): 260, (2, 1): 320, (4, 0): 50}
+    assert traced == {w for w in product(range(6), repeat=4)
+                      if all(a != b for a, b in zip(w, w[1:] + w[:1]))}
+    K, T2 = chains[-5][1][0], ops.T2
+    assert (K - _cleared_c2(ops)).is_zero()
+    assert chains[-5:] == [(-1.0, (K, K), 0), (-6.0, (K,), 1),
+                           (4.0, (K, T2), 1), (12.0, (T2,), 2),
+                           (-6.0, (T2, T2), 2)]
 
 
 @pytest.fixture(scope="module")
@@ -285,9 +310,9 @@ def test_jet_chain_matches_symbolic_application(unit_ops, chart, name):
     order = sum(plans.get(op).order for op in factors[:-1])
     plans.get(factors[-1])
     ja, fjet = _JetApplier(p, plans, order), _jet(p, f, 8)
-    got = tuple(ja.chain(factors, fjet))
+    got = tuple(ja.chain(factors, fjet)[:, 0])
     assert got == pytest.approx(want.evaluate(p), rel=1e-9)
-    assert tuple(ja.chain(factors, 2 * fjet)) == pytest.approx(
+    assert tuple(ja.chain(factors, 2 * fjet)[:, 0]) == pytest.approx(
         tuple(2 * v for v in got), rel=1e-12)
 
 
@@ -311,54 +336,40 @@ def test_jet_image_above_the_plans_order(unit_ops):
         ja.image(unit_ops.M[0], fjet, 7)
 
 
-def test_c4_column_jets_are_prefixes_of_order_6_jets(unit_ops):
-    """Each term column's jet is built at the order `_c4_plans` needs it
-    at, 3, 4 or 6, and equals the leading entries of the order-6
-    `PointJet.term` jet of the same term."""
-    plans, orders = _c4_plans(unit_ops, _c4_chains(unit_ops))
-    assert sorted(set(orders.tolist())) == [3, 4, 6]
-    for p in c4_test_points():
-        ja, hi = _JetApplier(p, plans, orders), PointJet(p, 6)
-        for term, order, row in zip(plans.terms, orders.tolist(), ja._tjets):
-            dim = _JetSpace.get(order).dim
-            want = hi.term(*term)[:dim]
-            assert np.allclose(row[:dim], want, rtol=1e-13,
-                               atol=1e-13 * np.abs(want).max())
+def test_plan_columns_are_the_distinct_terms():
+    """Plans of both charts share one set of term columns: each distinct
+    term x^m r^k (r + s x0)^a owns one column, and its chart is kept only
+    where it has an axis factor, so a term without one is shared across
+    charts."""
+    plans = _ChainPlans()
+    h = {chart: build_operators(chart=chart).minus_2H
+         for chart in (CHART_A, CHART_B)}
+    cols = {chart: set(plans.get(op).coef.cols.tolist())
+            for chart, op in h.items()}
+    terms = plans.terms
+    assert len(set(terms)) == len(terms)
+    assert all(s == 0 for _, _, ap, s in terms if not ap)
+    assert {s for _, _, ap, s in terms if ap} == {CHART_A, CHART_B}
+    shared = cols[CHART_A] & cols[CHART_B]
+    assert shared and all(not terms[j][2] for j in shared)
 
 
-def test_jet_image_above_a_columns_order_raises(unit_ops):
-    """With the term columns at the orders `_c4_plans` needs them at, the
-    chain factor whose columns reach lowest is served up to that order, as
-    by an applier with every column at order 6, and an image above it
-    raises instead of reading entries its columns do not have."""
-    chains = _c4_chains(unit_ops)
-    plans, orders = _c4_plans(unit_ops, chains)
-    factors = list({id(op): op for _, fs, _ in chains for op in fs}.values())
-    reach = [int(orders[plans.get(op).coef.cols].min()) for op in factors]
-    low = min(reach)
-    op = factors[reach.index(low)]
-    assert low < orders.max()
-    p, fjet = c4_test_points()[0], c4_test_jets(1)[0]
-    got = _JetApplier(p, plans, orders).image(op, fjet, low)
-    want = _JetApplier(p, plans, 6).image(op, fjet, low)
+@pytest.mark.parametrize("point", [0, 1])
+def test_grouped_chain_sum_is_the_chain_by_chain_sum(unit_ops, point):
+    """`_chain_sum` applies each outer factor once, to the summed inner
+    jets of the chains that share it.  Images are linear, so on the 630
+    walks, whose sum does not cancel, it gives the chain-by-chain sum up
+    to rounding."""
+    chains = _c4_chains(unit_ops)[:630]
+    plans = _c4_plans(unit_ops, chains)
+    p, f = c4_test_points()[point], c4_test_jets(2)[point]
+    ja = _JetApplier(p, plans, 6)
+    f1 = ja.image(unit_ops.minus_2H, f, 6)
+    fk = (f, f1, ja.image(unit_ops.minus_2H, f1, 4))
+    want = sum(c * ja.chain(fs, fk[k])[:, 0] for c, fs, k in chains)
+    got = _chain_sum(ja, chains, fk, 0)[:, 0]
+    assert np.abs(want).min() > 1.0
     assert np.allclose(got, want, rtol=1e-12, atol=0)
-    with pytest.raises(ValueError, match=f"order {low}, not {low + 1}"):
-        _JetApplier(p, plans, orders).image(op, fjet, low + 1)
-
-
-@pytest.mark.parametrize("params", [UnitParams(), SCALED],
-                         ids=["unit", "scaled"])
-@pytest.mark.parametrize("m,r", [(0, 1), (2, 4)])
-def test_g1_antisymmetric_part_is_minus_4i_l_minus2h(params, m, r):
-    """G1_mr - G1_rm = -4i L_mr (-2H), with G1_mr = E0_mr (-2H) - Mt_m
-    Mt_r / (4 mu0), holds exactly, as one fused residual."""
-    ops = build_operators(params)
-    q = Fraction(1, 4) / params.mu0
-    h = ops.minus_2H
-    assert OperatorExpr.combine(
-        [(1, _c4_e0(ops, m, r), h), (-1, _c4_e0(ops, r, m), h),
-         (-q, ops.M[m], ops.M[r]), (q, ops.M[r], ops.M[m]),
-         (GaussRat(0, 4), ops.L(m, r), h)]).is_zero()
 
 
 def _c4_worst(ops, chains):
@@ -391,6 +402,22 @@ def test_applied_c4_shared_images_see_a_wrong_factor(unit_ops, unit_c4):
     assert sum(op is bad for _, fs, _ in chains for op in fs) > 25
     assert unit_c4 < 1e-10
     assert _c4_worst(unit_ops, chains) > 1e-6
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda ops, chains: [
+        (c * 0.25 ** (sum(op in ops.M for op in fs) // 2), fs, k)
+        for c, fs, k in chains[:630]] + chains[630:],
+    lambda ops, chains: chains[1:],
+    lambda ops, chains: chains[:629] + chains[630:],
+], ids=["q^n5", "drop-first-walk", "drop-last-walk"])
+def test_applied_c4_sees_a_wrong_walk(unit_ops, unit_c4, mutate):
+    """Weighting each walk by (1/(4 mu0))^n5 instead of (1/(4 mu0))^(n5/2),
+    or dropping one walk (four L steps first, four Mt steps last), moves
+    the residual far outside the tolerance."""
+    chains = _c4_chains(unit_ops)
+    assert unit_c4 < 1e-10
+    assert _c4_worst(unit_ops, mutate(unit_ops, chains)) > 1e-6
 
 
 def _d(*axes):
