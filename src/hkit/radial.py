@@ -6,8 +6,17 @@ d = D/2 + 1 dimensions are both reduced by R = x^{-(dim-1)/2} chi to
     -chi'' + [Lambda / x^2 + (2m/hbar^2) V(x)] chi = (2m/hbar^2) E chi,
 
 with Lambda = ell (ell + dim - 2) + (dim - 1)(dim - 3)/4, and solved on a
-uniform grid as a symmetric tridiagonal eigenproblem.  Eigenvalues are
-Richardson-refined from two grids by default.  The box is sized so that
+uniform grid as a symmetric tridiagonal eigenproblem T.  Eigenvalues are
+Richardson-refined from two grids by default.
+
+On each grid, a direct solve on a small pilot grid of the same box gives
+every level a shift and a start vector.  T minus the shift is factored
+once in O(n), and two inverse-iteration solves give the eigenvector.
+The eigenvalue is its Rayleigh quotient in difference form, which is not
+held to the eps ||T|| ~ 1e-8 floor that bisection has on fine grids.  A
+residual interval per level and one Sturm count certify that value j is
+the j-th level; a solve whose levels cannot be certified raises (Parlett,
+The Symmetric Eigenvalue Problem, ch. 4).  The box is sized so that
 the WKB barrier action beyond the outer turning point suppresses the
 Dirichlet truncation below the eigenvalue tolerance; the classical
 turning point alone leaves errors far above 1e-6 for Coulomb tails.
@@ -29,6 +38,9 @@ from .errors import GridTooCoarse, InterpolationFailure
 
 _ACTION_TARGET = 14.0   # exp(-2*14) ~ 7e-13 tail leakage at the wall
 _BOX_CAP_FACTOR = 60.0  # hard stop for the wall search, in turning-point units
+_PILOT_POINTS = 768     # interior points of every pilot solve
+_INVERSE_STEPS = 2      # inverse-iteration solves per level
+_CERT_ULPS = 16.0       # rounding margin of the level certificate, in eps ||T||
 
 OSCILLATOR = "oscillator"
 COULOMB = "coulomb"
@@ -143,12 +155,12 @@ def _auto_box(problem: RadialProblem, scaled_top: float) -> float:
     lam = effective_lambda(problem.dim, problem.ell)
     w = _scaled_potential(problem)
 
-    def forbidden(x: float) -> float:
-        return lam / (x * x) + float(w(np.asarray(x))) - scaled_top
+    def forbidden(x):
+        return lam / (x * x) + w(x) - scaled_top
 
     # Outer turning point: last sign change on a geometric scan.
     xs = np.geomspace(1e-6, 1e7, 1400)
-    vals = np.array([forbidden(x) for x in xs])
+    vals = forbidden(xs)
     inside = np.nonzero(vals < 0)[0]
     if inside.size == 0:
         # No classically allowed region at this energy; centrifugal wall
@@ -165,42 +177,147 @@ def _auto_box(problem: RadialProblem, scaled_top: float) -> float:
             else:
                 hi = mid
         turn = hi
-    # Accumulate sqrt(w_eff - lambda_top) until the action target is met.
+    # Trapezoid steps of sqrt(w_eff - lambda_top) past the turning point,
+    # up to the first where the action target is met or the cap is passed.
+    # cumsum adds the steps one at a time, as a running x += step would;
+    # its rounding drifts far less than one step, so `count` steps pass
+    # the cap.
     step = max(turn, 1.0) / 400.0
-    action = 0.0
-    x = turn
     cap = _BOX_CAP_FACTOR * max(turn, 1.0)
-    prev = 0.0
-    while action < _ACTION_TARGET and x < cap:
-        x += step
-        cur = math.sqrt(max(forbidden(x), 0.0))
-        action += 0.5 * (prev + cur) * step
-        prev = cur
-    return max(x, 1.5 * turn)
+    count = int((cap - turn) / step) + 2
+    x = np.cumsum(np.concatenate(([turn], np.full(count, step))))
+    cur = np.sqrt(np.maximum(forbidden(x[1:]), 0.0))
+    action = np.cumsum(0.5 * (np.concatenate(([0.0], cur[:-1])) + cur) * step)
+    stop = np.argmax(~((action < _ACTION_TARGET) & (x[1:] < cap)))
+    return max(float(x[stop + 1]), 1.5 * turn)
+
+
+def _operator(lam: float, wfun, box: float, n: int):
+    """Step, interior nodes and potential part of the reduced operator.
+
+    On n interior points of (0, box) the operator is the symmetric
+    tridiagonal T with diagonal 2/h^2 + pot and off-diagonal -1/h^2.
+    """
+    h = box / (n + 1)
+    x = h * np.arange(1, n + 1)
+    return h, x, lam / (x * x) + wfun(x)
+
+
+def _pilot_eigen(lam: float, wfun, box: float, n: int, k: int):
+    """Lowest k eigenpairs on n points, by bisection over the whole spectrum.
+
+    LAPACK stebz bisects each level from the Gershgorin interval to an
+    absolute tolerance of about eps ||T||, and stein finds the vectors.
+    That costs far more than the O(n) factorizations of `_fd_eigen`, so it
+    runs only on the small pilot grid.
+    """
+    from scipy.linalg import eigh_tridiagonal  # here, so only radial solves load scipy
+
+    h, x, pot = _operator(lam, wfun, box, n)
+    vals, vecs = eigh_tridiagonal(2.0 / (h * h) + pot, np.full(n - 1, -1.0 / (h * h)),
+                                  select="i", select_range=(0, k - 1))
+    return x, vals, vecs
 
 
 def _fd_eigen(lam: float, wfun, box: float, n: int, k: int):
-    """Lowest k scaled eigenvalues and vectors of the reduced operator."""
-    from scipy.linalg import eigh_tridiagonal  # here, so only radial solves load scipy
+    """Lowest k scaled eigenvalues and vectors of the reduced operator.
 
-    h = box / (n + 1)
-    x = h * np.arange(1, n + 1)
-    diag = 2.0 / (h * h) + lam / (x * x) + wfun(x)
+    A pilot solve of the same box on min(n, _PILOT_POINTS) points gives
+    each level j a shift sigma_j and, interpolated onto the n nodes, a
+    start vector.  T - sigma_j is factored once (LAPACK gttrf) and
+    _INVERSE_STEPS inverse-iteration solves (gttrs) follow.  The
+    eigenvalue is the Rayleigh quotient in difference form,
+
+        (sum_i (v_{i+1} - v_i)^2 / h^2 + sum_i pot_i v_i^2) / sum_i v_i^2
+
+    with v_0 = v_{n+1} = 0, so the 2/h^2 diagonal never cancels against
+    the off-diagonal and the value is not held to eps ||T|| the way
+    bisection is.  `_certify` then proves that value j is the j-th
+    lowest eigenvalue of T, or raises.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs  # here, so only radial solves load scipy
+
+    h, x, pot = _operator(lam, wfun, box, n)
+    diag = 2.0 / (h * h) + pot
     off = np.full(n - 1, -1.0 / (h * h))
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    xp, shifts, starts = _pilot_eigen(lam, wfun, box, min(n, _PILOT_POINTS), k)
+    knots = np.concatenate(([0.0], xp, [box]))
+    vals = np.empty(k)
+    vecs = np.empty((n, k), order="F")
+    for j in range(k):
+        v = vecs[:, j:j + 1]  # a view: gttrs overwrites it in place
+        v[:, 0] = np.interp(x, knots, np.concatenate(([0.0], starts[:, j], [0.0])))
+        dl, d, du, du2, ipiv, _ = dgttrf(off, diag - shifts[j], off, overwrite_d=1)
+        for _ in range(_INVERSE_STEPS):
+            dgttrs(dl, d, du, du2, ipiv, v, overwrite_b=1)
+            v *= 1.0 / _norm(v)
+        del dl, d, du, du2, ipiv  # before the next level's factors are made
+        vals[j] = _rayleigh(v[:, 0], pot, h)
+    _certify(diag, off, vals, vecs)
     return x, diag, off, vals, vecs
+
+
+def _norm(v: np.ndarray) -> float:
+    """2-norm by a numpy reduction: BLAS dot would wake OpenBLAS threads."""
+    return math.sqrt(float(np.sum(v * v)))
+
+
+def _rayleigh(v: np.ndarray, pot: np.ndarray, h: float) -> float:
+    """v^T T v / v^T v with the kinetic part summed as squared differences."""
+    dv = np.diff(v, prepend=0.0, append=0.0)
+    kinetic = float(np.sum(dv * dv)) / (h * h)
+    return (kinetic + float(np.sum(pot * v * v))) / float(np.sum(v * v))
+
+
+def _certify(diag, off, vals, vecs) -> None:
+    """Prove vals[j] is the j-th lowest eigenvalue of T, or raise.
+
+    For symmetric T some eigenvalue lies within ||(T - r) v|| / ||v|| of
+    r, so each vals[j] owns the interval vals[j] +- (rho_j ||T|| +
+    margin), with rho_j from `_matrix_residuals`.  If the intervals are
+    disjoint, T has at least k eigenvalues up to the top of the last one.
+    One Sturm count (LAPACK stebz on the range (-2 ||T||, top + margin]
+    with a tolerance that stops it before any bisection) then has to come
+    to exactly k, so each interval holds exactly its own level.  The
+    margin of _CERT_ULPS eps ||T|| covers the rounding of the residuals
+    and of the count, which is exact for a matrix within a few eps ||T||
+    of T.
+    """
+    from scipy.linalg.lapack import dstebz  # here, so only radial solves load scipy
+
+    k = vals.size
+    opscale = _opscale(diag, off)
+    margin = _CERT_ULPS * np.finfo(float).eps * opscale
+    radius = _matrix_residuals(diag, off, vals, vecs) * opscale + margin
+    lo, hi = vals - radius, vals + radius
+    if np.all(np.isfinite(hi)) and np.all(hi[:-1] < lo[1:]):
+        top = float(hi[-1]) + margin
+        count = dstebz(diag, off, 1, -2.0 * opscale, top, 0, 0, 4.0 * opscale, "E")[0]
+        if count == k:
+            return
+        problem = f"{count} eigenvalues at or below {top:.6g}, the top of level {k - 1}"
+    else:
+        problem = "the levels' residual intervals are not disjoint and finite"
+    raise GridTooCoarse(f"pilot shifts on {diag.size} points did not single out the "
+                        f"lowest {k} levels: {problem}")
+
+
+def _opscale(diag, off) -> float:
+    """max |diag| + 2 max |off|, an upper bound on ||T||_2."""
+    return float(np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
 
 
 def _matrix_residuals(diag, off, vals, vecs) -> np.ndarray:
     """||(T - lambda) v|| / (||T|| ||v||) per retained eigenpair."""
-    opscale = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
+    opscale = _opscale(diag, off)
     out = np.empty(vals.size)
     for j in range(vals.size):
         v = vecs[:, j]
         tv = diag * v
         tv[:-1] += off * v[1:]
         tv[1:] += off * v[:-1]
-        out[j] = np.linalg.norm(tv - vals[j] * v) / (opscale * np.linalg.norm(v))
+        tv -= vals[j] * v
+        out[j] = _norm(tv) / (opscale * _norm(v))
     return out
 
 
@@ -258,12 +375,13 @@ def _solve(problem: RadialProblem, levels: int, refine: bool,
 
 
 def _normalize(vecs: np.ndarray, h: float) -> np.ndarray:
-    out = vecs / np.sqrt(h * np.sum(vecs * vecs, axis=0, keepdims=True))
-    for j in range(out.shape[1]):
-        lead = np.nonzero(np.abs(out[:, j]) > 1e-3 * np.max(np.abs(out[:, j])))[0][0]
-        if out[lead, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    """Scale each column in place to unit grid L2 norm, first large entry positive."""
+    for j in range(vecs.shape[1]):
+        v = vecs[:, j]
+        mag = np.abs(v)
+        lead = int(np.argmax(mag > 1e-3 * np.max(mag)))
+        v *= math.copysign(1.0, v[lead]) / math.sqrt(h * float(np.sum(v * v)))
+    return vecs
 
 
 def solve_oscillator(problem: RadialProblem, levels: int = 1, *,
@@ -299,6 +417,7 @@ def solve_modified(problem: RadialProblem, levels: int = 1, *,
     """
     if problem.kind != MODIFIED:
         raise ValueError(f"need a modified problem, got {problem.kind!r}")
+    _check_levels(levels)
     scale = 2 * problem.mass / problem.hbar ** 2
     if problem.box is None:
         c1 = problem.coeffs[1] if problem.coeffs[1] > 0 else problem.coeffs[-1]
@@ -306,10 +425,12 @@ def solve_modified(problem: RadialProblem, levels: int = 1, *,
         guess = (problem.coeffs[0]
                  + problem.hbar * w_eff * (2 * (levels + 1) + problem.ell + problem.dim / 2))
         pilot_box = _auto_box(problem, scale * guess)
-        pilot = _solve(replace(problem, n_points=768, box=pilot_box),
-                       levels, False, rtol, scale * guess)
-        spacing = (pilot.eigenvalues[-1] - pilot.eigenvalues[0]) / max(levels - 1, 1)
-        top = pilot.eigenvalues[-1] + max(spacing, abs(pilot.eigenvalues[-1]) * 0.1)
+        _, pilot, _ = _pilot_eigen(effective_lambda(problem.dim, problem.ell),
+                                   _scaled_potential(problem), pilot_box,
+                                   _PILOT_POINTS, levels)
+        pilot *= problem.hbar ** 2 / (2 * problem.mass)
+        spacing = (pilot[-1] - pilot[0]) / max(levels - 1, 1)
+        top = pilot[-1] + max(spacing, abs(pilot[-1]) * 0.1)
         problem = replace(problem, box=_auto_box(problem, scale * top))
     # box is set by now, so the top-energy argument below is never consulted
     return _solve(problem, levels, refine, rtol, 0.0)
@@ -482,7 +603,7 @@ def substitution_residual_check(result: EigenResult, level: int = 0, *,
     resid = (s2 + (d - 1) / rw * s1 - l * (l + d - 2) / rw ** 2 * s0
              + scale * (eps + e2 / rw) * s0)
     drive = scale * (abs(eps) + e2 / rw) * np.abs(s0)
-    rel = float(np.linalg.norm(resid) / np.linalg.norm(drive))
+    rel = _norm(resid) / _norm(drive)
     if not np.isfinite(rel):
         raise InterpolationFailure("residual evaluation produced non-finite values")
     return SubstitutionResult(level=level, eps=float(eps), e2=float(e2),

@@ -3,12 +3,14 @@ swap between the two problems, and the substitution check."""
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hkit import radial
 from hkit.errors import GridTooCoarse
 from hkit.radial import (
     RadialProblem,
@@ -95,11 +97,112 @@ def test_matrix_residuals_small():
     assert res.grid[0] > 0 and res.grid[-1] < res.box
 
 
+@pytest.mark.parametrize("solve,prob,rel", [
+    (solve_oscillator, RadialProblem.oscillator(8, 0, 1.0, n_points=65536), 1e-12),
+    (solve_coulomb, RadialProblem.coulomb(5, 0.0, 1.0, n_points=65536), 1e-11),
+], ids=["oscillator", "coulomb"])
+def test_fine_grid_levels_are_below_the_bisection_floor(solve, prob, rel):
+    """On 131073 fine points, bisection to eps ||T|| held every level to
+    about 1e-8; Richardson-refined levels now sit at truncation error."""
+    level = oscillator_level if prob.kind == "oscillator" else coulomb_level
+    res = solve(prob, levels=3)
+    for k, e in enumerate(res.eigenvalues):
+        want = level(prob, k)
+        assert abs(float(e) - want) / abs(want) < rel
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_a_pilot_shift_on_the_wrong_level_raises(monkeypatch, levels):
+    """A pilot that hands level 0 the shift of level 2 sends inverse
+    iteration to level 2: the certificate must refuse it."""
+    pilot = radial._pilot_eigen
+
+    def shifted(lam, wfun, box, n, k):
+        x, vals, vecs = pilot(lam, wfun, box, n, 3)
+        vals[0] = vals[2]
+        return x, vals[:k], vecs[:, :k]
+
+    monkeypatch.setattr(radial, "_pilot_eigen", shifted)
+    with pytest.raises(GridTooCoarse, match="did not single out"):
+        solve_oscillator(RadialProblem.oscillator(8, 0, 1.0), levels=levels)
+
+
+def test_fd_eigen_runs_on_the_coarse_and_fine_grid_only(monkeypatch):
+    """Each refined solve calls `_fd_eigen` on n and 2n + 1 points; the
+    pilot solves, modified's box pilot included, do not go through it."""
+    fd_eigen, sizes = radial._fd_eigen, []
+
+    def counted(*args):
+        sizes.append(args[3])
+        return fd_eigen(*args)
+
+    monkeypatch.setattr(radial, "_fd_eigen", counted)
+    solve_oscillator(RadialProblem.oscillator(8, 0, 1.0, n_points=1024), levels=2)
+    solve_modified(RadialProblem.modified((0.0, 0.5), n_points=1024), levels=2)
+    assert sizes == [1024, 2049, 1024, 2049]
+
+
 def test_convergence_metadata():
     res = solve_oscillator(RadialProblem.oscillator(8, 0, 1.0), levels=2)
     assert len(res.convergence) == 2
     for c in res.convergence:
         assert 0 <= c < 1e-3
+
+
+# ----- wall placement -----------------------------------------------------------
+
+def _auto_box_one_point_at_a_time(problem, scaled_top):
+    """The wall search as a scalar loop, one `forbidden` call per point."""
+    lam = effective_lambda(problem.dim, problem.ell)
+    w = radial._scaled_potential(problem)
+
+    def forbidden(x):
+        return lam / (x * x) + float(w(np.asarray(x))) - scaled_top
+
+    xs = np.geomspace(1e-6, 1e7, 1400)
+    vals = np.array([forbidden(x) for x in xs])
+    inside = np.nonzero(vals < 0)[0]
+    if inside.size == 0:
+        turn = float(xs[np.argmin(np.abs(vals))])
+    else:
+        lo = xs[inside[-1]]
+        hi = xs[min(inside[-1] + 1, xs.size - 1)]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if forbidden(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        turn = hi
+    step = max(turn, 1.0) / 400.0
+    action = 0.0
+    x = turn
+    cap = radial._BOX_CAP_FACTOR * max(turn, 1.0)
+    prev = 0.0
+    while action < radial._ACTION_TARGET and x < cap:
+        x += step
+        cur = math.sqrt(max(forbidden(x), 0.0))
+        action += 0.5 * (prev + cur) * step
+        prev = cur
+    return max(x, 1.5 * turn)
+
+
+@pytest.mark.parametrize("prob,scaled_top", [
+    (RadialProblem.oscillator(8, 0, 1.0), 16.0),
+    (RadialProblem.oscillator(8, 2, 1.0), 20.0),
+    (RadialProblem.oscillator(4, 0, 2.0), 40.0),
+    (RadialProblem.coulomb(5, 0.0, 1.0), -2.0 / 16.0),
+    (RadialProblem.coulomb(5, 0.0, 1.5), -4.5 / 16.0),
+    (RadialProblem.coulomb(5, 0.5, 1.0), -2.0 / 25.0),
+    (RadialProblem.coulomb(3, 0.0, 1.0), -1.0 / 4.0),
+    (RadialProblem.coulomb(5, 0.0, 1.0), -10.0),
+    (RadialProblem.modified((0.0, 0.5, 0.1)), 2.0 * 11.0),
+], ids=["osc-8-0", "osc-8-2", "osc-4-0", "cou-5-0", "cou-5-0-e2", "cou-5-half",
+        "cou-3-0", "cou-no-allowed-region", "modified"])
+def test_auto_box_matches_the_scalar_walk(prob, scaled_top):
+    """The array scan and the cumsum action walk give the scalar loop's box
+    bit for bit, on either branch of the turning-point search."""
+    assert radial._auto_box(prob, scaled_top) == _auto_box_one_point_at_a_time(prob, scaled_top)
 
 
 # ----- problem validation --------------------------------------------------------
