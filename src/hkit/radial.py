@@ -16,10 +16,12 @@ The eigenvalue is its Rayleigh quotient in difference form, which is not
 held to the eps ||T|| ~ 1e-8 floor that bisection has on fine grids.  A
 residual interval per level and one Sturm count certify that value j is
 the j-th level; a solve whose levels cannot be certified raises (Parlett,
-The Symmetric Eigenvalue Problem, ch. 4).  The box is sized so that
-the WKB barrier action beyond the outer turning point suppresses the
-Dirichlet truncation below the eigenvalue tolerance; the classical
-turning point alone leaves errors far above 1e-6 for Coulomb tails.
+The Symmetric Eigenvalue Problem, ch. 4).
+
+The box is sized so that the WKB barrier action beyond the outer
+turning point suppresses the Dirichlet truncation below the eigenvalue
+tolerance; the classical turning point alone leaves errors far above
+1e-6 for Coulomb tails.
 
 The duality map r = u^2 is implemented level-by-level in both directions,
 and the substitution check resamples a solved oscillator eigenfunction
