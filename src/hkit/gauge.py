@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ChartMismatch
 from .exact import (CHART_A, CHART_B, GaussRat, Point5, ScalarExpr, X)
-from .operators import eps3, perm_sign
+from .operators import OperatorExpr, eps3, perm_sign
 from .transforms import (HyperSpherical, angular_jacobian, hyperspherical_inverse,
                          inverse_jacobian, space_angles)
 
@@ -164,42 +164,42 @@ def potential_listing(a: int, chart: int = CHART_A):
     return tuple(comps)
 
 
+def _zero_sums(sums) -> list[bool]:
+    """Whether each sum is zero, a sum being ``combine`` parts (coef, a, b)
+    over ScalarExprs, b None for a lone a.  Each distinct scalar (by
+    structure, so equal entries share a table) becomes one multiplication
+    operator, and one ``OperatorExpr.combines_are_zero`` decides every sum;
+    parts with coefficient 0, such as Kronecker deltas that vanish, drop out."""
+    op = lru_cache(maxsize=None)(OperatorExpr.from_scalar)
+    return OperatorExpr.combines_are_zero(
+        [(c, op(a), None if b is None else op(b)) for c, a, b in parts]
+        for parts in sums)
+
+
 def potential_reproduction_check(chart: int = CHART_A) -> bool:
     """Generator formula with unit coupling reproduces the listing."""
-    for a in (1, 2, 3):
-        built = vector_potential(a, chart)
-        listed = potential_listing(a, chart)
-        if not all(u.equals(v) for u, v in zip(built, listed)):
-            return False
-    return True
+    return all(_zero_sums(
+        [(1, u, None), (-1, v, None)]
+        for a in (1, 2, 3)
+        for u, v in zip(vector_potential(a, chart), potential_listing(a, chart))))
 
 
 def potential_orthogonality_check(chart: int = CHART_A) -> bool:
     """A^a . A^b = delta_ab (r - s x0) / (r^2 (r + s x0))."""
     s = 1 if chart == CHART_A else -1
-    want = ((ScalarExpr.rpow(1) - ScalarExpr.coord(0) * s)
-            * ScalarExpr.term(1, rp=-2, ap=-1, chart=chart))
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            dot = ScalarExpr.zero()
-            Aa, Ab = vector_potential(a, chart), vector_potential(b, chart)
-            for j in range(5):
-                dot = dot + Aa[j] * Ab[j]
-            target = want if a == b else ScalarExpr.zero()
-            if not dot.equals(target):
-                return False
-    return True
+    num = ScalarExpr.rpow(1) - ScalarExpr.coord(0) * s
+    den = ScalarExpr.term(1, rp=-2, ap=-1, chart=chart)
+    A = {a: vector_potential(a, chart) for a in (1, 2, 3)}
+    return all(_zero_sums(
+        [(1, u, v) for u, v in zip(A[a], A[b])] + [(-(a == b), num, den)]
+        for a in (1, 2, 3) for b in (1, 2, 3)))
 
 
 def potential_transversality_check(chart: int = CHART_A) -> bool:
     """A^a . x = 0 on both patches."""
-    for a in (1, 2, 3):
-        acc = ScalarExpr.zero()
-        for j, comp in enumerate(vector_potential(a, chart)):
-            acc = acc + comp * X[j]
-        if not acc.is_zero():
-            return False
-    return True
+    return all(_zero_sums([(1, comp, x) for comp, x in
+                           zip(vector_potential(a, chart), X)]
+                          for a in (1, 2, 3)))
 
 
 # ----- field tensor -----------------------------------------------------------
@@ -320,29 +320,26 @@ def _field_table(a: int):
     return tuple(tuple(row) for row in F)
 
 
+def _differs_from_definition(method: str, chart: int = CHART_A) -> set:
+    """The entries (a, i, j), i < j, where F by ``method`` differs from F
+    by definition."""
+    fd = {a: field_tensor(a, chart, "definition") for a in (1, 2, 3)}
+    fm = {a: field_tensor(a, chart, method) for a in (1, 2, 3)}
+    entries = [(a, i, j) for a in (1, 2, 3)
+               for i in range(5) for j in range(i + 1, 5)]
+    zero = _zero_sums([(1, fd[a][i][j], None), (-1, fm[a][i][j], None)]
+                      for a, i, j in entries)
+    return {e for e, z in zip(entries, zero) if not z}
+
+
 def field_closed_form_check(chart: int = CHART_A) -> bool:
     """Curl-plus-commutator equals the compact algebraic form, exactly."""
-    for a in (1, 2, 3):
-        fd = field_tensor(a, chart, "definition")
-        fc = field_tensor(a, chart, "closed")
-        for i in range(5):
-            for j in range(i + 1, 5):
-                if not fd[i][j].equals(fc[i][j]):
-                    return False
-    return True
+    return not _differs_from_definition("closed", chart)
 
 
 def field_table_discrepancies() -> set:
     """Entries where the hand listing disagrees with the derived tensor."""
-    bad = set()
-    for a in (1, 2, 3):
-        fd = field_tensor(a, CHART_A, "definition")
-        ft = field_tensor(a, CHART_A, "table")
-        for i in range(5):
-            for j in range(i + 1, 5):
-                if not fd[i][j].equals(ft[i][j]):
-                    bad.add((a, i, j))
-    return bad
+    return _differs_from_definition("table")
 
 
 # Entries of the hand listing that disagree with both derivation routes.
@@ -352,48 +349,29 @@ KNOWN_TABLE_DISCREPANCIES = {(1, 3, 4), (2, 0, 1), (2, 0, 2)}
 
 
 def ff_contraction_check(chart: int = CHART_A) -> bool:
-    """F^a_ij F^b_ij = (4 / r^4) delta_ab."""
-    want = ScalarExpr.rpow(-4) * 4
-    for a in (1, 2, 3):
-        Fa = field_tensor(a, chart)
-        for b in (1, 2, 3):
-            Fb = Fa if b == a else field_tensor(b, chart)
-            acc = ScalarExpr.zero()
-            for i in range(5):
-                for j in range(5):
-                    if i != j:
-                        acc = acc + Fa[i][j] * Fb[i][j]
-            if not acc.equals(want if a == b else ScalarExpr.zero()):
-                return False
-    return True
+    """F^a_ij F^b_ij = (4 / r^4) delta_ab, summed over i < j twice, as
+    field_tensor builds F antisymmetric."""
+    F = {a: field_tensor(a, chart) for a in (1, 2, 3)}
+    r_4 = ScalarExpr.rpow(-4)
+    return all(_zero_sums(
+        [(2, F[a][i][j], F[b][i][j]) for i in range(5) for j in range(i + 1, 5)]
+        + [(-4 * (a == b), r_4, None)]
+        for a in (1, 2, 3) for b in (1, 2, 3)))
 
 
 def ff_intermediate_check(chart: int = CHART_A) -> bool:
     """F^a_ij F^b_jk = (x_i x_k - r^2 d_ik) delta_ab / r^6
-    + eps_abc F^c_ik / r^2."""
+    + eps_abc F^c_ik / r^2, for (a, i) <= (b, k): as field_tensor builds F
+    antisymmetric, the residual at (b, a, k, i) is the one at (a, b, i, k)."""
     F = {a: field_tensor(a, chart) for a in (1, 2, 3)}
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            for i in range(5):
-                for k in range(5):
-                    acc = ScalarExpr.zero()
-                    for j in range(5):
-                        acc = acc + F[a][i][j] * F[b][j][k]
-                    want = ScalarExpr.zero()
-                    if a == b:
-                        m = [0] * 5
-                        m[i] += 1
-                        m[k] += 1
-                        want = want + ScalarExpr.term(1, m, rp=-6)
-                        if i == k:
-                            want = want + ScalarExpr.rpow(-4) * (-1)
-                    for c in (1, 2, 3):
-                        e = eps3(a, b, c)
-                        if e:
-                            want = want + F[c][i][k] * ScalarExpr.term(e, rp=-2)
-                    if not acc.equals(want):
-                        return False
-    return True
+    r_2, r_4 = ScalarExpr.rpow(-2), ScalarExpr.rpow(-4)
+    x_r6 = [x * ScalarExpr.rpow(-6) for x in X]
+    return all(_zero_sums(
+        [(1, F[a][i][j], F[b][j][k]) for j in range(5)]
+        + [(-eps3(a, b, c), F[c][i][k], r_2) for c in (1, 2, 3)]
+        + [(-(a == b), x_r6[i], X[k]), ((a == b) * (i == k), r_4, None)]
+        for a in (1, 2, 3) for b in (1, 2, 3)
+        for i in range(5) for k in range(5) if (a, i) <= (b, k)))
 
 
 # ----- trig realization of the generators -------------------------------------

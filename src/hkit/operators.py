@@ -438,7 +438,8 @@ class _Table:
 
 def _table_of_terms(terms: dict) -> _Table:
     """The term table of a dict of coefficients, over the lcm of their
-    denominators; raises ExponentRange as ``check_exponents`` does."""
+    denominators, already checked: raises ExponentRange as
+    ``check_exponents`` and ``_pack_okey`` do."""
     coefs = list(terms.values())
     keys = [k for c in coefs for k, _ in c.items()]
     vals = [v for c in coefs for _, v in c.items()]
@@ -447,14 +448,16 @@ def _table_of_terms(terms: dict) -> _Table:
     den = lcm(*(v.d for v in vals))
     counts = [len(c) for c in coefs]
     okey = [_pack_okey(w, d) for w, d in terms]
-    return _Table(np.array(okey, dtype=np.int64),
-                  np.array([c.chart for c in coefs], dtype=np.int64),
-                  np.cumsum([0] + counts),
-                  np.repeat(np.arange(len(coefs)), counts),
-                  np.array([pack_key(k) for k in keys], dtype=np.int64),
-                  int_array([v.a * (den // v.d) for v in vals]),
-                  int_array([v.b * (den // v.d) for v in vals]), den,
-                  list(terms))
+    tab = _Table(np.array(okey, dtype=np.int64),
+                 np.array([c.chart for c in coefs], dtype=np.int64),
+                 np.cumsum([0] + counts),
+                 np.repeat(np.arange(len(coefs)), counts),
+                 np.array([pack_key(k) for k in keys], dtype=np.int64),
+                 int_array([v.a * (den // v.d) for v in vals]),
+                 int_array([v.b * (den // v.d) for v in vals]), den,
+                 list(terms))
+    tab._checked = True
+    return tab
 
 
 class _Joined:
@@ -465,11 +468,13 @@ class _Joined:
         self.cols: list[list[np.ndarray]] = []
         self.lens: list[list[int]] = []
 
-    def add(self, key, *arrays: np.ndarray) -> int:
-        """The index of the table ``key``, adding its arrays if new."""
+    def add(self, key, build) -> int:
+        """The index of the table ``key``; if it is new, ``build()`` gives
+        its arrays, so a table already joined builds nothing."""
         k = self.at.get(key)
         if k is None:
             k = self.at[key] = len(self.lens)
+            arrays = build()
             if not self.cols:
                 self.cols = [[] for _ in arrays]
             for col, a in zip(self.cols, arrays):
@@ -521,8 +526,13 @@ def _accumulate(parts, order: str | None):
     """
     parts = [(tag, c, ta, tb is None, _IDENTITY._table() if tb is None else tb)
              for tag, c, ta, tb in parts]
-    rowmaps = [tb.diff_rows(ta.leibniz(lone)[-1])
-               for _, _, ta, lone, tb in parts]
+    # the stack row of each gamma of A's Leibniz rows, made before any
+    # stack is joined, since a new row changes the stack
+    jr = _Joined()
+    kr = [jr.add((id(tb), None if lone else id(ta)),
+                 lambda: (tb.diff_rows((_ZERO_DERIV,) if lone
+                                       else ta.leibniz()[-1]),))
+          for _, _, ta, lone, tb in parts]
     den: dict = {}
     for tag, c, ta, _, tb in parts:
         den[tag] = lcm(den.get(tag, 1), c.d * ta.den * tb.den)
@@ -531,13 +541,12 @@ def _accumulate(parts, order: str | None):
     for tag, c, ta, lone, tb in parts:
         wa, wia = ta.words()
         wb, wib = tb.words()
-        ka.append(ja.add(id(ta), ta.start[:-1], np.diff(ta.start), ta.l1(),
-                         _chart_bits(ta.chart), wia, ta.tk, ta.re, ta.im))
-        kl.append(jl.add((id(ta), lone), *ta.leibniz(lone)[:5]))
-        start, tk, re, im, l1, bits = tb.stack()
-        kb.append(jb.add(id(tb), wib, tb.okey & _DMASK, start, l1, bits, tk,
-                         re, im))
-        kw.append(jw.add((wa, wb), *_word_pairs(wa, wb)))
+        ka.append(ja.add(id(ta), lambda: (
+            ta.start[:-1], np.diff(ta.start), ta.l1(), _chart_bits(ta.chart),
+            wia, ta.tk, ta.re, ta.im)))
+        kl.append(jl.add((id(ta), lone), lambda: ta.leibniz(lone)[:5]))
+        kb.append(jb.add(id(tb), lambda: (wib, tb.okey & _DMASK) + tb.stack()))
+        kw.append(jw.add((wa, wb), lambda: _word_pairs(wa, wb)))
         na.append(ta.okey.size)
         nb.append(tb.okey.size)
         nwb.append(len(wb))
@@ -552,13 +561,12 @@ def _accumulate(parts, order: str | None):
         ja.column(k) for k in range(1, 8))
     l_start = jl.column(0, 2)
     l_count, l_gam, l_mult, l_rest = (jl.column(k) for k in range(1, 5))
-    d_start = jb.column(2, 5)
-    b_wib, b_dpk, _, d_l1, d_bits, d_tk, d_re, d_im = (
+    d_start = jb.column(2, 3)
+    b_wib, b_dpk, _, d_tk, d_re, d_im, d_l1, d_bits = (
         jb.column(k) for k in range(8))
     w_start = jw.column(0, 1)
     w_out, w_re, w_im = (jw.column(k) for k in range(1, 4))
-    rowmap = np.concatenate(rowmaps)
-    row_off = np.cumsum([0] + [r.size for r in rowmaps])[:-1]
+    rowmap, row_off = jr.column(0), jr.offsets(0)[kr]
     ka, kl, kb, kw = (np.array(v) for v in (ka, kl, kb, kw))
     # (part, i, j) pairs, then blocks
     pp, t = ragged(na * nb)
@@ -577,7 +585,7 @@ def _accumulate(parts, order: str | None):
     flat = jb.offsets(2)[kb][pb] + g * (nb[pb] + 1) + j
     s2 = d_start[flat]
     n2 = d_start[flat + 1] - s2
-    fl = jb.offsets(3)[kb][pb] + g * nb[pb] + j
+    fl = jb.offsets(6)[kb][pb] + g * nb[pb] + j
     okey = (w_out[e] << 40) | (l_rest[l] + b_dpk[bj])
     # s = (c.a + i c.b) f (wre + i wim) mult
     pcr, pci = int_array(pcr), int_array(pci)

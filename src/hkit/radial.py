@@ -235,7 +235,8 @@ def _fd_eigen(lam: float, wfun, box: float, n: int, k: int):
     with v_0 = v_{n+1} = 0, so the 2/h^2 diagonal never cancels against
     the off-diagonal and the value is not held to eps ||T|| the way
     bisection is.  `_certify` then proves that value j is the j-th
-    lowest eigenvalue of T, or raises.
+    lowest eigenvalue of T, or raises.  Returns the nodes, the values, the
+    vectors and each pair's matrix residual from `_certify`.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs  # here, so only radial solves load scipy
 
@@ -255,8 +256,7 @@ def _fd_eigen(lam: float, wfun, box: float, n: int, k: int):
             v *= 1.0 / _norm(v)
         del dl, d, du, du2, ipiv  # before the next level's factors are made
         vals[j] = _rayleigh(v[:, 0], pot, h)
-    _certify(diag, off, vals, vecs)
-    return x, diag, off, vals, vecs
+    return x, vals, vecs, _certify(diag, off, vals, vecs)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -271,8 +271,9 @@ def _rayleigh(v: np.ndarray, pot: np.ndarray, h: float) -> float:
     return (kinetic + float(np.sum(pot * v * v))) / float(np.sum(v * v))
 
 
-def _certify(diag, off, vals, vecs) -> None:
-    """Prove vals[j] is the j-th lowest eigenvalue of T, or raise.
+def _certify(diag, off, vals, vecs) -> np.ndarray:
+    """Prove vals[j] is the j-th lowest eigenvalue of T, or raise; return
+    the residuals rho_j.
 
     For symmetric T some eigenvalue lies within ||(T - r) v|| / ||v|| of
     r, so each vals[j] owns the interval vals[j] +- (rho_j ||T|| +
@@ -290,13 +291,14 @@ def _certify(diag, off, vals, vecs) -> None:
     k = vals.size
     opscale = _opscale(diag, off)
     margin = _CERT_ULPS * np.finfo(float).eps * opscale
-    radius = _matrix_residuals(diag, off, vals, vecs) * opscale + margin
+    rho = _matrix_residuals(diag, off, vals, vecs)
+    radius = rho * opscale + margin
     lo, hi = vals - radius, vals + radius
     if np.all(np.isfinite(hi)) and np.all(hi[:-1] < lo[1:]):
         top = float(hi[-1]) + margin
         count = dstebz(diag, off, 1, -2.0 * opscale, top, 0, 0, 4.0 * opscale, "E")[0]
         if count == k:
-            return
+            return rho
         problem = f"{count} eigenvalues at or below {top:.6g}, the top of level {k - 1}"
     else:
         problem = "the levels' residual intervals are not disjoint and finite"
@@ -329,7 +331,6 @@ class EigenResult:
     problem: RadialProblem
     box: float
     eigenvalues: np.ndarray        # Richardson-refined energies
-    raw_eigenvalues: np.ndarray    # fine-grid energies before refinement
     eigenvectors: np.ndarray       # (n_fine, k), L2-normalized columns
     grid: np.ndarray               # fine interior nodes
     residual_norms: np.ndarray     # matrix residuals per retained pair
@@ -353,16 +354,14 @@ def _solve(problem: RadialProblem, levels: int, refine: bool,
     escale = problem.hbar ** 2 / (2 * problem.mass)
 
     if not refine:
-        x, diag, off, vals, vecs = _fd_eigen(lam, wfun, box, n, levels)
-        energies = vals * escale
-        return EigenResult(problem, box, energies, energies.copy(),
-                           _normalize(vecs, box / (n + 1)), x,
-                           _matrix_residuals(diag, off, vals, vecs),
+        x, vals, vecs, rho = _fd_eigen(lam, wfun, box, n, levels)
+        return EigenResult(problem, box, vals * escale,
+                           _normalize(vecs, box / (n + 1)), x, rho,
                            np.full(levels, np.nan))
 
-    _, _, _, coarse, _ = _fd_eigen(lam, wfun, box, n, levels)
+    _, coarse, _, _ = _fd_eigen(lam, wfun, box, n, levels)
     nf = 2 * n + 1
-    x, diag, off, fine, vecs = _fd_eigen(lam, wfun, box, nf, levels)
+    x, fine, vecs, rho = _fd_eigen(lam, wfun, box, nf, levels)
     refined = (4.0 * fine - coarse) / 3.0
     floor = np.max(np.abs(refined)) * 1e-9 + 1e-300
     conv = np.abs(fine - coarse) / (3.0 * np.maximum(np.abs(refined), floor))
@@ -371,9 +370,8 @@ def _solve(problem: RadialProblem, levels: int, refine: bool,
         raise GridTooCoarse(
             f"level {worst}: Richardson correction {conv[worst]:.2e} exceeds "
             f"sqrt(rtol) = {math.sqrt(rtol):.2e}; raise n_points")
-    return EigenResult(problem, box, refined * escale, fine * escale,
-                       _normalize(vecs, box / (nf + 1)), x,
-                       _matrix_residuals(diag, off, fine, vecs), conv)
+    return EigenResult(problem, box, refined * escale,
+                       _normalize(vecs, box / (nf + 1)), x, rho, conv)
 
 
 def _normalize(vecs: np.ndarray, h: float) -> np.ndarray:

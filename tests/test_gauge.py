@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from hkit import gauge
 from hkit.exact import CHART_A, CHART_B, R, ScalarExpr, X
 from hkit.gauge import (
     KNOWN_TABLE_DISCREPANCIES,
@@ -62,6 +63,23 @@ def test_potential_transversality(chart):
         assert dot.is_zero()
 
 
+@pytest.mark.parametrize("chart", [CHART_A, CHART_B])
+def test_perturbed_potential_fails_every_potential_check(monkeypatch, chart):
+    """A^1_2 off by x1 / (r (r + s x0)) breaks the listing, A^a . A^b and
+    A^a . x, so the batched zero tests can answer False."""
+    vector_potential_ = gauge.vector_potential
+    extra = ScalarExpr.term(1, (0, 1, 0, 0, 0), rp=-1, ap=-1, chart=chart)
+
+    def perturbed(a, on=CHART_A):
+        A = vector_potential_(a, on)
+        return A if a != 1 else A[:2] + (A[2] + extra,) + A[3:]
+
+    monkeypatch.setattr(gauge, "vector_potential", perturbed)
+    assert not potential_reproduction_check(chart)
+    assert not potential_orthogonality_check(chart)
+    assert not potential_transversality_check(chart)
+
+
 def test_trig_generator_brackets():
     assert su2_trig_generators_check("cot", 50, 1e-5, SEED) < 1e-7
 
@@ -90,6 +108,31 @@ def test_ff_intermediate():
 
 def test_ff_contraction():
     assert ff_contraction_check()
+
+
+@pytest.fixture
+def perturbed_definition(monkeypatch):
+    """The definition route's F^2_13 off by x3 / r^5, and F^2_31 with it."""
+    field_tensor_ = gauge.field_tensor
+    extra = X[3] * R.rpow(-5)
+
+    def perturbed(a, chart=CHART_A, method="definition"):
+        F = field_tensor_(a, chart, method)
+        if a != 2 or method != "definition":
+            return F
+        rows = [list(row) for row in F]
+        rows[1][3] = F[1][3] + extra
+        rows[3][1] = F[3][1] - extra
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(gauge, "field_tensor", perturbed)
+
+
+def test_perturbed_field_fails_every_field_check(perturbed_definition):
+    assert not ff_intermediate_check()
+    assert not ff_contraction_check()
+    assert not field_closed_form_check()
+    assert field_table_discrepancies() == KNOWN_TABLE_DISCREPANCIES | {(2, 1, 3)}
 
 
 def test_self_duality():

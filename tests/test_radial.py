@@ -3,9 +3,11 @@ swap between the two problems, and the substitution check."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +264,19 @@ def test_duality_map_rejects_unknown_direction():
     osc = solve_oscillator(RadialProblem.oscillator(8, 0, 1.0), levels=1)
     with pytest.raises(ValueError):
         duality_map(osc, direction="sideways")
+
+
+def test_duality_scan_script_runs(capsys):
+    """scripts/duality_scan.py at L = 0 with one level prints one closing
+    row and exits 0."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "duality_scan.py"
+    spec = importlib.util.spec_from_file_location("duality_scan", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--L-max", "0", "--levels", "1"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.endswith("closes")]
+    assert len(rows) == 1
 
 
 # ----- substitution check ----------------------------------------------------------

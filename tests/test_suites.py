@@ -16,11 +16,22 @@ import pytest
 
 from hkit import suites, symmetry, transforms
 from hkit.cli import main
-from hkit.config import SuiteConfig
+from hkit.config import SUITES, SuiteConfig
 from hkit.operators import OperatorExpr
 from hkit.report import MODE_EXACT, MODE_NUMERIC, CheckReport, to_json
 
 CHEAP = ("euler", "gauge", "spectrum", "radial")
+
+
+def test_suite_names_have_one_source_of_truth():
+    """The runners, the config and both schema enums list the same suites
+    in the same order."""
+    assert tuple(suites.SUITE_RUNNERS) == SUITES
+    schema = json.loads((Path(__file__).resolve().parents[1] / "docs"
+                         / "report.schema.json").read_text())
+    props = schema["properties"]
+    assert tuple(props["config"]["properties"]["suites"]["items"]["enum"]) == SUITES
+    assert tuple(props["rows"]["items"]["properties"]["suite"]["enum"]) == SUITES
 
 
 def test_jobs_2_rows_equal_jobs_1():
@@ -97,6 +108,15 @@ def test_crashed_suite_is_a_numeric_row(monkeypatch):
     assert row.detail == "RuntimeError: boom"
     assert report.summary["exact"] == 0
     assert report.summary["numeric"] == 1
+
+
+def test_every_suite_trims_the_heap_after_it(monkeypatch):
+    """The malloc heap is trimmed after each suite, a crashed one too."""
+    calls = []
+    monkeypatch.setattr(suites, "_MALLOC_TRIM", calls.append)
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "euler", lambda cfg: 1 / 0)
+    suites.run_suite(SuiteConfig(suites=("euler", "spectrum")))
+    assert calls == [0, 0]
 
 
 def _euler_exact_rows(seed):
@@ -180,7 +200,7 @@ _IMPORT_PROBE = """
 import json
 import sys
 import hkit.cli
-from hkit.config import SuiteConfig
+from hkit.config import SUITES, SuiteConfig
 from hkit.suites import run_suite
 
 def scipy_modules():
