@@ -22,6 +22,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .config import SuiteConfig, load_config
 from .errors import (
@@ -114,23 +116,27 @@ def _radial_problem(args) -> RadialProblem:
 def _cmd_radial(args) -> int:
     solver = {"oscillator": solve_oscillator, "coulomb": solve_coulomb,
               "modified": solve_modified}[args.kind]
-    try:
-        problem = _radial_problem(args)
-        result = solver(problem, levels=args.levels)
-    except ValueError as exc:  # RadialProblem's and the solvers' input checks
-        raise ConfigError(str(exc)) from None
     reference = {"oscillator": oscillator_level, "coulomb": coulomb_level,
                  "modified": None}[args.kind]
     rows = []
-    for k, energy in enumerate(result.eigenvalues):
-        ref = reference(problem, k) if reference is not None else None
-        rows.append({
-            "level": k,
-            "energy": float(energy),
-            "reference": None if ref is None else float(ref),
-            "rel_error": None if ref is None else abs(float(energy) - ref) / abs(ref),
-            "convergence": float(result.convergence[k]),
-        })
+    try:
+        with np.errstate(over="raise"):
+            problem = _radial_problem(args)
+            result = solver(problem, levels=args.levels)
+            for k, energy in enumerate(result.eigenvalues):
+                ref = reference(problem, k) if reference is not None else None
+                rows.append({
+                    "level": k,
+                    "energy": float(energy),
+                    "reference": None if ref is None else float(ref),
+                    "rel_error": (None if ref is None
+                                  else abs(float(energy) - ref) / abs(ref)),
+                    "convergence": float(result.convergence[k]),
+                })
+    except ValueError as exc:  # RadialProblem's and the solvers' input checks
+        raise ConfigError(str(exc)) from None
+    except ArithmeticError as exc:  # finite inputs beyond a float's range
+        raise ConfigError(f"input out of floating-point range: {exc}") from None
     if args.format == "json":
         doc = {"kind": problem.kind, "dim": problem.dim, "ell": problem.ell,
                "box": result.box, "n_points": problem.n_points, "levels": rows}

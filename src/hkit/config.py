@@ -41,7 +41,6 @@ SUITES = ("euler", "gauge", "field", "charge", "algebra", "casimir",
 DEFAULT_TOLERANCES = {
     "charge": 1e-10,
     "charge_refinement": 1e-12,
-    "self_duality": 1e-10,
     "gauge_transform": 1e-10,
     "trig_bracket": 1e-7,
     "angular_table": 1e-10,

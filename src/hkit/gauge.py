@@ -11,22 +11,25 @@ second listing was pinned down in the first place.
 Everything algebraic here is exact over the localized radius ring; the
 handful of genuinely transcendental statements (trig realization of the
 generators, patch transition, angular form of the field) are checked
-numerically at controlled tolerance.
+numerically at controlled tolerance.  Self-duality on the four-sphere is
+among the exact identities: its Cartesian form needs no metric and no
+Hodge dual.  The closed volume factor sqrt_det_metric_closed, which the
+charge quadrature's exact node counts rest on, stays a test-checked fact.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 from math import cos, pi, sin, sqrt
 
 import numpy as np
 
 from .errors import ChartMismatch
-from .exact import (CHART_A, CHART_B, GaussRat, Point5, ScalarExpr, X)
+from .exact import (CHART_A, CHART_B, GaussRat, Point5, R, ScalarExpr, X)
 from .operators import OperatorExpr, eps3, perm_sign
-from .transforms import (HyperSpherical, angular_jacobian, hyperspherical_inverse,
-                         inverse_jacobian, space_angles)
+from .transforms import (HyperSpherical, hyperspherical_inverse, inverse_jacobian,
+                         space_angles)
 
 # Antisymmetric 5x5 generator blocks, row and column 0 empty.  Entries
 # are +-i/2; the bar variant flips every entry that pairs index a with 4.
@@ -374,6 +377,26 @@ def ff_intermediate_check(chart: int = CHART_A) -> bool:
         for i in range(5) for k in range(5) if (a, i) <= (b, k)))
 
 
+def self_duality_check(chart: int = CHART_A) -> bool:
+    """(1/2) eps_ijklm F^a_kl x_m = r F^a_ij for every a and i < j.
+
+    Contracting with x_i leaves r x_i F^a_ij = 0, so F has no radial leg,
+    and on the tangent 4-plane the identity is *F = F for the orientation
+    eps(t_1, t_2, t_3, t_4, x/r) = +1.  That is the (theta, beta, alpha,
+    gamma) orientation, as det[d x / d(theta, beta, alpha, gamma); x/r] > 0
+    (a tested fact).  The half sum over k, l is the sum over the pairs
+    k < l of the three indices other than i, j, with m the one left out."""
+    F = {a: field_tensor(a, chart) for a in (1, 2, 3)}
+    sums = []
+    for a in (1, 2, 3):
+        for i, j in combinations(range(5), 2):
+            rest = [n for n in range(5) if n not in (i, j)]
+            sums.append([(perm_sign((i, j, k, l, m)), F[a][k][l], X[m])
+                         for (k, l), m in zip(combinations(rest, 2), rest[::-1])]
+                        + [(-1, F[a][i][j], R)])
+    return all(_zero_sums(sums))
+
+
 # ----- trig realization of the generators -------------------------------------
 
 def _trig_ops(variant: str):
@@ -615,51 +638,8 @@ def angular_field_check(n_points: int = 50, seed: int = 0) -> float:
     return worst
 
 
-# ----- induced metric and duality ------------------------------------------------
-
-def induced_metric(h: HyperSpherical) -> np.ndarray:
-    """Metric of the radius-r sphere in (theta, beta, alpha, gamma) order."""
-    J = np.array(angular_jacobian(h))
-    return J @ J.T
-
-
-def sqrt_det_metric(h: HyperSpherical) -> float:
-    return float(np.sqrt(np.linalg.det(induced_metric(h))))
-
+# ----- volume factor -------------------------------------------------------------
 
 def sqrt_det_metric_closed(h: HyperSpherical) -> float:
     """r^4 sin^3(theta) sin(beta) / 8, the closed form of the volume factor."""
     return h.r ** 4 * sin(h.theta) ** 3 * sin(h.beta) / 8
-
-
-_EPS4 = np.zeros((4, 4, 4, 4))
-for perm in permutations(range(4)):
-    _EPS4[perm] = perm_sign(perm)
-
-
-def angular_block(Fbar: np.ndarray) -> np.ndarray:
-    """The 4x4 (theta, beta, alpha, gamma) block of a field in
-    (r, theta, alpha, beta, gamma) components."""
-    rows = [_XBAR_INDEX[c] for c in Y_ANGULAR]
-    return Fbar[np.ix_(rows, rows)]
-
-
-def hodge_dual(F_low: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(*F)_mn on a 4-manifold, orientation eps(theta, beta, alpha, gamma) = +1."""
-    sqg = np.sqrt(np.linalg.det(g))
-    dual_up = np.einsum("mnrs,rs->mn", _EPS4, F_low) / (2 * sqg)
-    return g @ dual_up @ g.T
-
-
-def self_duality_check(n_points: int = 50, seed: int = 0,
-                       chart: int = CHART_A) -> float:
-    """Worst | *F - F | on the angular block over random points."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_points):
-        h = _random_point(rng)
-        g = induced_metric(h)
-        for a in (1, 2, 3):
-            Fb = angular_block(angular_field_at(a, h, chart))
-            worst = max(worst, float(np.max(np.abs(hodge_dual(Fb, g) - Fb))))
-    return worst

@@ -72,6 +72,12 @@ class RadialProblem:
     def __post_init__(self) -> None:
         if self.kind not in (OSCILLATOR, COULOMB, MODIFIED):
             raise ValueError(f"unknown kind {self.kind!r}")
+        for name in ("dim", "ell", "omega", "e2", "mass", "hbar", "box"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError(f"coeffs must be finite, got {self.coeffs}")
         if self.dim <= 2:
             raise ValueError(f"dimension must exceed 2, got {self.dim}")
         if self.ell < 0:

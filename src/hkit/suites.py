@@ -207,11 +207,11 @@ def run_field(cfg: SuiteConfig) -> list[CheckReport]:
         "pulled-back tensor matches the angular component table",
         angular_field_check(50, cfg.seed), cfg.tolerances["angular_table"],
         "50 random points, all components"))
-    rows.append(_numeric(
-        "field", "self-duality",
-        "*F = F on the angular block",
-        self_duality_check(50, cfg.seed), cfg.tolerances["self_duality"],
-        "50 random points, calibrated orientation"))
+    rows.append(_exact(
+        "field", "self-duality", "*F = F on the angular block",
+        self_duality_check(),
+        "(1/2) eps_ijklm F^a_kl x_m = r F^a_ij, exact zero residual; "
+        "(theta, beta, alpha, gamma) orientation"))
     return rows
 
 

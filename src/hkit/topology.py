@@ -18,7 +18,7 @@ from math import pi
 import numpy as np
 
 from .exact import CHART_A, ScalarExpr
-from .gauge import _EPS4, angular_block, angular_field_at, field_tensor, induced_metric
+from .gauge import field_tensor
 from .transforms import HyperSpherical, angular_jacobian, hyperspherical_inverse
 
 
@@ -59,27 +59,11 @@ constant in alpha and gamma.  n-point Gauss-Legendre is exact through
 degree 2n - 1 and n periodic midpoint nodes are exact below trigonometric
 degree n, so (2, 1, 1, 1) nodes suffice.
 
-The ff-contraction identity is proved exactly (field suite), but self-duality
-is only checked numerically at sampled points (field/self-duality row) and
-the closed volume factor is cross-checked against the metric determinant in
-tests; the exactness claim rests on those checks.
+Self-duality and the ff-contraction identity are proved exactly (field
+suite: field/self-duality, field/ff-contraction).  The closed volume factor
+is cross-checked against the metric determinant in tests only, so the
+exactness claim rests on those proofs and that check.
 """
-
-
-def charge_density(h: HyperSpherical, chart: int = CHART_A) -> float:
-    """Sum over a of *F^(a mn) F^a_mn at one point, metric route.
-
-    Equals 12 / r^4 everywhere; kept pointwise and unvectorized as the
-    reference implementation for the fast pipeline.
-    """
-    g = induced_metric(h)
-    sqg = float(np.sqrt(np.linalg.det(g)))
-    total = 0.0
-    for a in (1, 2, 3):
-        Fb = angular_block(angular_field_at(a, h, chart))
-        dual_up = np.einsum("mnrs,rs->mn", _EPS4, Fb) / (2 * sqg)
-        total += float(np.einsum("mn,mn->", dual_up, Fb))
-    return total
 
 
 def _compile(e: ScalarExpr):

@@ -96,7 +96,18 @@ def test_radial_modified_needs_coeffs(capsys):
     (("--omega", "-1"), "omega must be non-negative"),
     (("--kind", "coulomb", "--e2", "0"), "coulomb coupling must be positive"),
     (("--levels", "0"), "levels must be at least 1"),
-], ids=["n-points", "omega", "e2", "levels"])
+    (("--omega", "nan"), "omega must be finite"),
+    (("--omega", "inf"), "omega must be finite"),
+    (("--omega", "1e300"), "out of floating-point range"),
+    (("--kind", "coulomb", "--e2", "1e300"), "out of floating-point range"),
+    (("--kind", "coulomb", "--e2", "1e-300"), "out of floating-point range"),
+    (("--kind", "modified", "--coeffs", "0,1,1e400"),
+     "out of floating-point range"),
+    (("--kind", "modified", "--coeffs", "0,1e300"),
+     "out of floating-point range"),
+], ids=["n-points", "omega", "e2", "levels", "omega-nan", "omega-inf",
+        "omega-overflow", "e2-overflow", "e2-underflow", "coeff-overflow",
+        "coeff-scale"])
 def test_radial_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, "radial", *argv)
     assert code == 2
@@ -262,6 +273,7 @@ def test_missing_config_file(capsys):
     ("[grids]\nterm_budget = 5000\n", "term_budget"),
     ("[units]\nmuo = 3/2\n", "muo"),
     ("[run]\nsuite = euler\n", "suite"),
+    ("[tolerances]\nself_duality = 1e-10\n", "unknown tolerance 'self_duality'"),
 ])
 def test_unknown_config_key(capsys, tmp_path, body, key):
     path = tmp_path / "run.ini"

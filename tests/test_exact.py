@@ -222,6 +222,12 @@ def test_is_zero_matches_reference(seed, chart):
             ap=rng.randint(-1, 1), chart=chart)
         assert not _reference_is_zero(near)
         assert not near.is_zero()
+        near_im = z + ScalarExpr.term(
+            GaussRat(0, Fraction(rng.choice([-2, 1, 5]), 7)),
+            [rng.randint(0, 2) for _ in range(5)], rp=rng.randint(-2, 1),
+            ap=rng.randint(-1, 1), chart=chart)
+        assert not _reference_is_zero(near_im)
+        assert not near_im.is_zero()
 
 
 @settings(max_examples=60)

@@ -3,10 +3,11 @@ component-table audit."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from hkit import gauge
-from hkit.exact import CHART_A, CHART_B, R, ScalarExpr, X
+from hkit.exact import CHART_A, CHART_B, GaussRat, R, ScalarExpr, X
 from hkit.gauge import (
     KNOWN_TABLE_DISCREPANCIES,
     angular_field_check,
@@ -20,11 +21,13 @@ from hkit.gauge import (
     potential_reproduction_check,
     potential_transversality_check,
     self_duality_check,
+    sqrt_det_metric_closed,
     su2_trig_generators_check,
     tau_eps_identity_check,
     tau_product_check,
     vector_potential,
 )
+from hkit.transforms import angular_jacobian, hyperspherical_inverse
 
 SEED = 20240814
 
@@ -110,11 +113,9 @@ def test_ff_contraction():
     assert ff_contraction_check()
 
 
-@pytest.fixture
-def perturbed_definition(monkeypatch):
-    """The definition route's F^2_13 off by x3 / r^5, and F^2_31 with it."""
+def _perturb_definition(monkeypatch, extra):
+    """The definition route's F^2_13 off by extra, and F^2_31 with it."""
     field_tensor_ = gauge.field_tensor
-    extra = X[3] * R.rpow(-5)
 
     def perturbed(a, chart=CHART_A, method="definition"):
         F = field_tensor_(a, chart, method)
@@ -128,15 +129,58 @@ def perturbed_definition(monkeypatch):
     monkeypatch.setattr(gauge, "field_tensor", perturbed)
 
 
+@pytest.fixture
+def perturbed_definition(monkeypatch):
+    """F^2_13 off by x3 / r^5."""
+    _perturb_definition(monkeypatch, X[3] * R.rpow(-5))
+
+
 def test_perturbed_field_fails_every_field_check(perturbed_definition):
     assert not ff_intermediate_check()
     assert not ff_contraction_check()
     assert not field_closed_form_check()
+    assert not self_duality_check()
     assert field_table_discrepancies() == KNOWN_TABLE_DISCREPANCIES | {(2, 1, 3)}
 
 
 def test_self_duality():
-    assert self_duality_check(50, SEED) < 1e-10
+    assert self_duality_check(CHART_A)
+    assert self_duality_check(CHART_B)
+
+
+@pytest.mark.parametrize("chart", [CHART_A, CHART_B])
+def test_anti_self_duality_fails_every_sum(monkeypatch, chart):
+    """With eps negated each sum is -2 r F^a_ij, and no F entry is zero."""
+    perm_sign, zero_sums, seen = gauge.perm_sign, gauge._zero_sums, []
+
+    def recorded(sums):
+        seen.extend(zero_sums(sums))
+        return seen
+
+    monkeypatch.setattr(gauge, "perm_sign", lambda seq: -perm_sign(seq))
+    monkeypatch.setattr(gauge, "_zero_sums", recorded)
+    assert not self_duality_check(chart)
+    assert seen == [False] * 30
+
+
+def test_imaginary_perturbation_fails_self_duality(monkeypatch):
+    """F^2_13 off by i x3 / r^5: only the imaginary numerators see it."""
+    _perturb_definition(monkeypatch,
+                        ScalarExpr.term(GaussRat(0, 1), (0, 0, 0, 1, 0), rp=-5))
+    assert not self_duality_check()
+
+
+def test_sphere_orientation_is_theta_beta_alpha_gamma():
+    """det[d x / d(theta, beta, alpha, gamma); x/r] is the volume factor,
+    positive: the orientation eps(t_1, .., t_4, x/r) = +1 of the exact
+    self-duality check is the one the row's anchor names."""
+    rng = np.random.default_rng(SEED)
+    for _ in range(200):
+        h = gauge._random_point(rng)
+        normal = [v / h.r for v in hyperspherical_inverse(h)]
+        det = np.linalg.det(np.array(angular_jacobian(h) + [normal]))
+        assert det > 0
+        assert det == pytest.approx(sqrt_det_metric_closed(h), rel=1e-12)
 
 
 def test_angular_listing():

@@ -222,6 +222,18 @@ def test_problem_validation():
         RadialProblem.oscillator(8, 0, 1.0, n_points=32)
 
 
+@pytest.mark.parametrize("make,name", [
+    (lambda bad: RadialProblem.oscillator(8, 0, bad), "omega"),
+    (lambda bad: RadialProblem.coulomb(5, 0.0, bad), "e2"),
+    (lambda bad: RadialProblem.modified((0.0, 1.0, bad)), "coeffs"),
+    (lambda bad: RadialProblem.oscillator(8, 0, 1.0, box=bad), "box"),
+], ids=["omega", "e2", "coeffs", "box"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_problem_rejects_non_finite_data(make, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make(bad)
+
+
 # ----- duality map ----------------------------------------------------------------
 
 def test_duality_map_forward():

@@ -442,7 +442,7 @@ def test_applied_c4_sees_every_derivative_order(unit_ops, extra):
 @pytest.mark.xfail(strict=True, reason=(
     "the C4 row is summed at two fixed points, x0 = 1/4 and x0 = -3/5, so "
     "a wrong term whose coefficient vanishes at both is not seen; random "
-    "points (ROADMAP item 1) would see it"))
+    "points (ROADMAP item 2) would see it"))
 def test_applied_c4_sees_a_term_that_vanishes_at_the_test_points(unit_ops):
     """1000 (x0 - 1/4)(x0 + 3/5) d0^2 is a wrong term of the residual
     operator, and the row should see it.  Its coefficient is zero at both

@@ -3,21 +3,22 @@
 from __future__ import annotations
 
 import time
+from itertools import permutations
 from math import pi
 
 import numpy as np
 import pytest
 
 from hkit.exact import CHART_A, CHART_B
-from hkit.gauge import sqrt_det_metric, sqrt_det_metric_closed
+from hkit.gauge import _XBAR_INDEX, Y_ANGULAR, angular_field_at, sqrt_det_metric_closed
+from hkit.operators import perm_sign
 from hkit.topology import (
     EXACT_NODES,
     ChargeResult,
     QuadratureSpec,
-    charge_density,
     topological_charge,
 )
-from hkit.transforms import HyperSpherical
+from hkit.transforms import HyperSpherical, angular_jacobian
 
 
 def test_unit_charge():
@@ -82,15 +83,37 @@ def _random_points(n, seed):
         )
 
 
+def _sqrt_det_metric(h):
+    """sqrt det g of the radius-r sphere, g = J J^T in (theta, beta, alpha,
+    gamma) order."""
+    J = np.array(angular_jacobian(h))
+    return float(np.sqrt(np.linalg.det(J @ J.T)))
+
+
+def _charge_density(h, chart=CHART_A):
+    """Sum over a of *F^(a mn) F^a_mn at one point, by the metric route:
+    the pointwise reference for the quadrature's integrand."""
+    eps = np.zeros((4, 4, 4, 4))
+    for perm in permutations(range(4)):
+        eps[perm] = perm_sign(perm)
+    rows = [_XBAR_INDEX[c] for c in Y_ANGULAR]
+    total = 0.0
+    for a in (1, 2, 3):
+        Fb = angular_field_at(a, h, chart)[np.ix_(rows, rows)]
+        dual_up = np.einsum("mnrs,rs->mn", eps, Fb) / (2 * _sqrt_det_metric(h))
+        total += float(np.einsum("mn,mn->", dual_up, Fb))
+    return total
+
+
 @pytest.mark.parametrize("chart", [CHART_A, CHART_B])
 def test_density_is_twelve_over_r4(chart):
     for h in _random_points(20, seed=11):
-        assert charge_density(h, chart) * h.r ** 4 == pytest.approx(12.0, rel=1e-11)
+        assert _charge_density(h, chart) * h.r ** 4 == pytest.approx(12.0, rel=1e-11)
 
 
 def test_volume_factor_closed_form():
     for h in _random_points(20, seed=12):
-        assert sqrt_det_metric(h) == pytest.approx(sqrt_det_metric_closed(h), rel=1e-12)
+        assert _sqrt_det_metric(h) == pytest.approx(sqrt_det_metric_closed(h), rel=1e-12)
 
 
 @pytest.mark.parametrize("chart", [CHART_A, CHART_B])
