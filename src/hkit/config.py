@@ -42,8 +42,6 @@ DEFAULT_TOLERANCES = {
     "charge": 1e-10,
     "charge_refinement": 1e-12,
     "gauge_transform": 1e-10,
-    "trig_bracket": 1e-7,
-    "angular_table": 1e-10,
     "round_trip": 1e-12,
     "casimir_numeric": 1e-8,
     "radial_rel": 1e-6,

@@ -8,28 +8,28 @@ TAU_BAR (second patch); both patches are fixed a second time by the
 transition function built from the base Euler angles, which is how the
 second listing was pinned down in the first place.
 
-Everything algebraic here is exact over the localized radius ring; the
-handful of genuinely transcendental statements (trig realization of the
-generators, patch transition, angular form of the field) are checked
-numerically at controlled tolerance.  Self-duality on the four-sphere is
-among the exact identities: its Cartesian form needs no metric and no
-Hodge dual.  The closed volume factor sqrt_det_metric_closed, which the
-charge quadrature's exact node counts rest on, stays a test-checked fact.
+Everything here is exact but the patch transition, which is checked
+numerically: the potential and field identities over the localized radius
+ring (self-duality among them, in a Cartesian form that needs no metric),
+and the trig realization of the generators and the angular form of the
+field as trig polynomials on transforms.IntPoly.  The closed volume factor
+sqrt_det_metric_closed, which the charge quadrature's exact node counts
+rest on, is proved in tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import cos, pi, sin, sqrt
+from math import cos, sin, sqrt
 
 import numpy as np
 
 from .errors import ChartMismatch
 from .exact import (CHART_A, CHART_B, GaussRat, Point5, R, ScalarExpr, X)
 from .operators import OperatorExpr, eps3, perm_sign
-from .transforms import (HyperSpherical, hyperspherical_inverse, inverse_jacobian,
-                         space_angles)
+from .transforms import (HyperSpherical, IntPoly, hyperspherical_inverse,
+                         inverse_jacobian, space_angles, sphere_frame, sphere_point)
 
 # Antisymmetric 5x5 generator blocks, row and column 0 empty.  Entries
 # are +-i/2; the bar variant flips every entry that pairs index a with 4.
@@ -384,7 +384,7 @@ def self_duality_check(chart: int = CHART_A) -> bool:
     and on the tangent 4-plane the identity is *F = F for the orientation
     eps(t_1, t_2, t_3, t_4, x/r) = +1.  That is the (theta, beta, alpha,
     gamma) orientation, as det[d x / d(theta, beta, alpha, gamma); x/r] > 0
-    (a tested fact).  The half sum over k, l is the sum over the pairs
+    (proved in tests).  The half sum over k, l is the sum over the pairs
     k < l of the three indices other than i, j, with m the one left out."""
     F = {a: field_tensor(a, chart) for a in (1, 2, 3)}
     sums = []
@@ -399,72 +399,33 @@ def self_duality_check(chart: int = CHART_A) -> bool:
 
 # ----- trig realization of the generators -------------------------------------
 
-def _trig_ops(variant: str):
-    """Angle-space first-order operators, axes (alpha, beta, gamma)."""
-    if variant == "printed":
-        def c1a(p):
-            return 1j * cos(p[0]) * cos(p[1])
-    elif variant == "cot":
-        def c1a(p):
-            return 1j * cos(p[0]) * cos(p[1]) / sin(p[1])
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    t1 = (
-        (c1a, 0),
-        (lambda p: 1j * sin(p[0]), 1),
-        (lambda p: -1j * cos(p[0]) / sin(p[1]), 2),
-    )
-    t2 = (
-        (lambda p: 1j * sin(p[0]) * cos(p[1]) / sin(p[1]), 0),
-        (lambda p: -1j * cos(p[0]), 1),
-        (lambda p: -1j * sin(p[0]) / sin(p[1]), 2),
-    )
-    t3 = ((lambda p: -1j, 0),)
-    return {1: t1, 2: t2, 3: t3}
+def su2_trig_generators_check(variant: str = "cot") -> int:
+    """How many of the 9 components of [T_a, T_b] - i eps_abc T_c, axes
+    (alpha, beta, gamma), are nonzero as trig polynomials.
 
-
-def _apply_trig(terms, f, p, h):
-    total = 0j
-    for coef, axis in terms:
-        pp, pm = list(p), list(p)
-        pp[axis] += h
-        pm[axis] -= h
-        total += coef(p) * (f(tuple(pp)) - f(tuple(pm))) / (2 * h)
-    return total
-
-
-_TRIG_TEST_FUNS = (
-    lambda p: sin(p[0] + 0.3) * cos(0.7 * p[1] + 0.1) * sin(p[2] / 2 + 0.2),
-    lambda p: cos(2 * p[0]) + sin(p[1]) * cos(p[2] / 2) + sin(p[1] / 3) * sin(p[0]),
-)
-
-
-def su2_trig_generators_check(variant: str = "cot", n_points: int = 50,
-                              step: float = 1e-5, seed: int = 0) -> float:
-    """Worst residual of [T_a, T_b] - i eps_abc T_c on test functions.
-
-    Derivatives are nested central differences, so the residual floor is
-    set by the square of the step; 1e-5 comfortably resolves 1e-7.
+    T_a = i S_a with S_a real, so the bracket closes when [S_a, S_b] =
+    eps_abc S_c.  Coefficient k of S_a is P_a^k / sin(beta), and sin^3(beta)
+    times component k of the residual is sum_j P_a^j (d_j P_b^k sin(beta) -
+    P_b^k d_j sin(beta)) - (a <-> b) - eps_abc P_c^k sin^2(beta).  'cot' has
+    cos(alpha) cot(beta) on d_alpha of S_1, 'printed' cos(alpha) cos(beta).
     """
-    ops = _trig_ops(variant)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_points):
-        p = (rng.uniform(0.3, 2 * pi - 0.3), rng.uniform(0.5, pi - 0.5),
-             rng.uniform(0.3, 4 * pi - 0.3))
-        for f in _TRIG_TEST_FUNS:
-            for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-                def bf(q, _b=b, _f=f):
-                    return _apply_trig(ops[_b], _f, q, step)
+    ca, sa, cb, sb = v = IntPoly.variables(4)
+    p1 = {"cot": ca * cb, "printed": ca * cb * sb}.get(variant)
+    if p1 is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    zero = ca * 0
+    P = {1: (p1, sa * sb, -ca), 2: (sa * cb, -ca * sb, -sa), 3: (-sb, zero, zero)}
 
-                def af(q, _a=a, _f=f):
-                    return _apply_trig(ops[_a], _f, q, step)
+    def d(f, j):  # d/dalpha, d/dbeta: variables 2j, 2j + 1 are their cos, sin
+        return f.diff(2 * j + 1) * v[2 * j] - f.diff(2 * j) * v[2 * j + 1]
 
-                lhs = (_apply_trig(ops[a], bf, p, step)
-                       - _apply_trig(ops[b], af, p, step))
-                rhs = 1j * _apply_trig(ops[c], f, p, step)
-                worst = max(worst, abs(lhs - rhs))
-    return worst
+    def lie(a, b, k):  # no coefficient depends on gamma
+        return sum((P[a][j] * (d(P[b][k], j) * sb - P[b][k] * d(sb, j))
+                    for j in (0, 1)), zero)
+
+    return sum(bool((lie(a, b, k) - lie(b, a, k) - P[c][k] * sb * sb)
+                    .on_circles(((0, 1), (2, 3))).terms)
+               for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) for k in range(3))
 
 
 # ----- patch transition --------------------------------------------------------
@@ -549,47 +510,25 @@ def gauge_transform_check(n_points: int = 100, seed: int = 0) -> float:
 # ----- angular form of the field ------------------------------------------------
 
 Y_ANGULAR = ("theta", "beta", "alpha", "gamma")
-_XBAR_INDEX = {"r": 0, "theta": 1, "alpha": 2, "beta": 3, "gamma": 4}
 
-# Hand listing of the angular components on the first patch; each entry is
-# a function of (theta, alpha, beta).  Omitted pairs vanish, as do all
-# components with an r leg.
-_ANGULAR_TABLE = {
-    1: {
-        ("theta", "beta"): lambda t, a, b: 0.5 * sin(t) * sin(a),
-        ("theta", "alpha"): lambda t, a, b: 0.0,
-        ("theta", "gamma"): lambda t, a, b: -0.5 * sin(t) * sin(b) * cos(a),
-        ("beta", "alpha"): lambda t, a, b: -0.25 * sin(t) ** 2 * cos(a),
-        ("beta", "gamma"): lambda t, a, b: -0.25 * sin(t) ** 2 * cos(b) * cos(a),
-        ("alpha", "gamma"): lambda t, a, b: 0.25 * sin(t) ** 2 * sin(b) * sin(a),
-    },
-    2: {
-        ("theta", "beta"): lambda t, a, b: 0.5 * sin(t) * cos(a),
-        ("theta", "alpha"): lambda t, a, b: 0.0,
-        ("theta", "gamma"): lambda t, a, b: 0.5 * sin(t) * sin(b) * sin(a),
-        ("beta", "alpha"): lambda t, a, b: 0.25 * sin(t) ** 2 * sin(a),
-        ("beta", "gamma"): lambda t, a, b: 0.25 * sin(t) ** 2 * cos(b) * sin(a),
-        ("alpha", "gamma"): lambda t, a, b: 0.25 * sin(t) ** 2 * sin(b) * cos(a),
-    },
-    3: {
-        ("theta", "beta"): lambda t, a, b: 0.0,
-        ("theta", "alpha"): lambda t, a, b: 0.5 * sin(t),
-        ("theta", "gamma"): lambda t, a, b: 0.5 * sin(t) * cos(b),
-        ("beta", "alpha"): lambda t, a, b: 0.0,
-        ("beta", "gamma"): lambda t, a, b: -0.25 * sin(t) ** 2 * sin(b),
-        ("alpha", "gamma"): lambda t, a, b: 0.0,
-    },
+# Angular listing of the first-patch F^a_mn, m before n in r, Y_ANGULAR, at
+# four times the listed value: (k, p, factors...) is k sin^p(theta) times the
+# factors.  Omitted components vanish, among them all with an r leg.
+_ANGULAR_LISTING = {
+    (1, "theta", "beta"): (2, 1, "sin a"),
+    (1, "theta", "gamma"): (-2, 1, "cos a", "sin b"),
+    (1, "beta", "alpha"): (-1, 2, "cos a"),
+    (1, "beta", "gamma"): (-1, 2, "cos a", "cos b"),
+    (1, "alpha", "gamma"): (1, 2, "sin a", "sin b"),
+    (2, "theta", "beta"): (2, 1, "cos a"),
+    (2, "theta", "gamma"): (2, 1, "sin a", "sin b"),
+    (2, "beta", "alpha"): (1, 2, "sin a"),
+    (2, "beta", "gamma"): (1, 2, "sin a", "cos b"),
+    (2, "alpha", "gamma"): (1, 2, "cos a", "sin b"),
+    (3, "theta", "alpha"): (2, 1),
+    (3, "theta", "gamma"): (2, 1, "cos b"),
+    (3, "beta", "gamma"): (-1, 2, "sin b"),
 }
-
-
-def angular_table_value(a: int, c1: str, c2: str, theta: float, alpha: float,
-                        beta: float) -> float:
-    if c1 == c2 or "r" in (c1, c2):
-        return 0.0
-    fn = _ANGULAR_TABLE[a].get((c1, c2))
-    if fn is not None:
-        return fn(theta, alpha, beta)
-    return -_ANGULAR_TABLE[a][(c2, c1)](theta, alpha, beta)
 
 
 def cartesian_field_at(a: int, x, chart: int = CHART_A) -> np.ndarray:
@@ -610,32 +549,52 @@ def angular_field_at(a: int, h: HyperSpherical, chart: int = CHART_A) -> np.ndar
     return J @ cartesian_field_at(a, x, chart) @ J.T
 
 
-def _random_point(rng) -> HyperSpherical:
-    """A point off the chart's singular set, drawn as r, theta, alpha, beta, gamma."""
-    return HyperSpherical(
-        r=rng.uniform(0.5, 2.0),
-        theta=rng.uniform(0.3, pi - 0.3),
-        alpha=rng.uniform(0.1, 2 * pi - 0.1),
-        beta=rng.uniform(0.3, pi - 0.3),
-        gamma=rng.uniform(0.1, 4 * pi - 0.1),
-    )
+def angular_field_check() -> int:
+    """How many of the 30 components F^a_mn, m < n, of the pulled-back
+    first-patch field differ from the angular listing, as trig polynomials.
 
+    r and the sin and cos of theta, beta/2 and (alpha -+ gamma)/2 enter the
+    inverse map and its doubled rows as IntPoly variables; each term
+    x^m r^k (r + x0)^n of F^a is cleared of the largest power of
+    r + x0 = r (1 + cos theta) and pulled back with the rows' 2x2 minors.
+    """
+    r, *trig = IntPoly.variables(9)
+    st, _, sb, cb, sm, cm, sp, cp = trig
+    x = sphere_point(r, *trig)
+    J = [sphere_point(1, *trig), *sphere_frame(r, *trig)]
+    lift = r + x[0]
+    F = {a: field_tensor(a, CHART_A) for a in (1, 2, 3)}
+    clear = max(-n for a in F for row in F[a] for e in row for (_, _, n), _ in e.items())
+    factor = {"sin a": sm * cp + cm * sp, "cos a": cm * cp - sm * sp,
+              "sin b": sb * cb * 2, "cos b": cb * cb - sb * sb}
 
-def angular_field_check(n_points: int = 50, seed: int = 0) -> float:
-    """Worst deviation of the pulled-back field from the angular listing."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_points):
-        h = _random_point(rng)
-        for a in (1, 2, 3):
-            Fb = angular_field_at(a, h)
-            for c1 in ("r",) + Y_ANGULAR:
-                for c2 in ("r",) + Y_ANGULAR:
-                    got = Fb[_XBAR_INDEX[c1], _XBAR_INDEX[c2]]
-                    want = angular_table_value(a, c1, c2, h.theta, h.alpha,
-                                               h.beta)
-                    worst = max(worst, abs(got - want))
-    return worst
+    def poly(e: ScalarExpr) -> IntPoly:
+        out = r * 0
+        for (m, k, n), c in e.items():
+            if c.b or c.d != 1:
+                raise ValueError("field coefficients must be integers")
+            term = IntPoly(9, {(k,) + (0,) * 8: c.a}) * lift ** (n + clear)
+            for xi, mi in zip(x, m):
+                term = term * xi ** mi
+            out = out + term
+        return out
+
+    names = ("r",) + Y_ANGULAR
+    pairs = list(combinations(range(5), 2))
+    minors = {(m, n): [J[m][i] * J[n][j] - J[m][j] * J[n][i] for i, j in pairs]
+              for m, n in pairs}
+    nonzero = 0
+    for a in (1, 2, 3):
+        Fa = [poly(F[a][i][j]) for i, j in pairs]
+        for m, n in pairs:
+            k, p, *factors = _ANGULAR_LISTING.get((a, names[m], names[n]), (0, 0))
+            res = st ** p * lift ** clear * -k
+            for f in factors:
+                res = res * factor[f]
+            for f, w in zip(Fa, minors[m, n]):
+                res = res + f * w
+            nonzero += bool(res.on_circles(((2, 1), (4, 3), (6, 5), (8, 7))).terms)
+    return nonzero
 
 
 # ----- volume factor -------------------------------------------------------------

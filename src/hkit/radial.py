@@ -158,7 +158,8 @@ def _auto_box(problem: RadialProblem, scaled_top: float) -> float:
     `scaled_top` is (2m/hbar^2) E of the least-bound retained level.  The
     wall goes where the WKB action integral of the effective potential
     past the outer turning point reaches _ACTION_TARGET, so the truncated
-    tail cannot shift eigenvalues at the tolerances used here.
+    tail cannot shift eigenvalues at the tolerances used here.  An energy
+    with no classically allowed point on the scan raises ValueError.
     """
     lam = effective_lambda(problem.dim, problem.ell)
     w = _scaled_potential(problem)
@@ -171,20 +172,17 @@ def _auto_box(problem: RadialProblem, scaled_top: float) -> float:
     vals = forbidden(xs)
     inside = np.nonzero(vals < 0)[0]
     if inside.size == 0:
-        # No classically allowed region at this energy; centrifugal wall
-        # dominates.  Fall back to the scale where the potential passes
-        # the energy.
-        turn = float(xs[np.argmin(np.abs(vals))])
-    else:
-        lo = xs[inside[-1]]
-        hi = xs[min(inside[-1] + 1, xs.size - 1)]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if forbidden(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        turn = hi
+        raise ValueError(f"no classically allowed region on the wall scan "
+                         f"[{xs[0]:.0e}, {xs[-1]:.0e}]")
+    lo = xs[inside[-1]]
+    hi = xs[min(inside[-1] + 1, xs.size - 1)]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if forbidden(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    turn = hi
     # Trapezoid steps of sqrt(w_eff - lambda_top) past the turning point,
     # up to the first where the action target is met or the cap is passed.
     # cumsum adds the steps one at a time, as a running x += step would;
@@ -409,6 +407,8 @@ def solve_coulomb(problem: RadialProblem, levels: int = 1, *,
         raise ValueError(f"need a coulomb problem, got {problem.kind!r}")
     _check_levels(levels)  # coulomb_level(problem, -1) divides by zero at d = 3, l = 0
     top = coulomb_level(problem, levels - 1)
+    if top == 0.0:  # e2^2 underflowed: no level, and no wall, is left to place
+        raise FloatingPointError(f"coulomb levels underflow at e2 = {problem.e2!r}")
     scaled_top = 2 * problem.mass * top / problem.hbar ** 2
     return _solve(problem, levels, refine, rtol, scaled_top)
 

@@ -160,13 +160,13 @@ def run_gauge(cfg: SuiteConfig) -> list[CheckReport]:
                            potential_orthogonality_check(chart)))
         rows.append(_exact("gauge", f"potential-transversality-{label}",
                            "A^a.x = 0", potential_transversality_check(chart)))
-    rows.append(_numeric(
+    cot, printed = (su2_trig_generators_check(v) for v in ("cot", "printed"))
+    rows.append(_exact(
         "gauge", "su2-trig-generators",
-        "[T_a, T_b] = i eps_abc T_c in the angle realization",
-        su2_trig_generators_check("cot", 50, 1e-5, cfg.seed),
-        cfg.tolerances["trig_bracket"],
-        "cot-coefficient variant; the printed cos coefficient fails the "
-        "bracket at O(1); nested central differences at 50 points"))
+        "[T_a, T_b] = i eps_abc T_c in the angle realization", cot == 0,
+        f"cot-coefficient variant, {9 - cot} of 9 bracket components vanish "
+        f"as trig polynomials; the printed cos coefficient leaves {printed} "
+        f"of 9 nonzero"))
     rows.append(_numeric(
         "gauge", "chart-transition",
         "S A_j S^-1 + i S d_j S^-1 equals the second-chart potential",
@@ -202,11 +202,12 @@ def run_field(cfg: SuiteConfig) -> list[CheckReport]:
             f"printed F^{a}_{i}{j}", MODE_EXACT, None, True,
             "printed entry is inconsistent with the definition and with the "
             "contraction identities; the derived value is used everywhere"))
-    rows.append(_numeric(
+    differ = angular_field_check()
+    rows.append(_exact(
         "field", "angular-listing",
-        "pulled-back tensor matches the angular component table",
-        angular_field_check(50, cfg.seed), cfg.tolerances["angular_table"],
-        "50 random points, all components"))
+        "pulled-back tensor matches the angular component table", differ == 0,
+        f"{30 - differ} of 30 components agree as trig polynomials in theta, "
+        f"beta/2 and (alpha -+ gamma)/2"))
     rows.append(_exact(
         "field", "self-duality", "*F = F on the angular block",
         self_duality_check(),

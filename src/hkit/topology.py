@@ -60,9 +60,9 @@ degree 2n - 1 and n periodic midpoint nodes are exact below trigonometric
 degree n, so (2, 1, 1, 1) nodes suffice.
 
 Self-duality and the ff-contraction identity are proved exactly (field
-suite: field/self-duality, field/ff-contraction).  The closed volume factor
-is cross-checked against the metric determinant in tests only, so the
-exactness claim rests on those proofs and that check.
+suite: field/self-duality, field/ff-contraction), and so is the closed
+volume factor, in tests: det[d x / d(theta, beta, alpha, gamma); x/r]
+equals it as a trig polynomial on the same map and Jacobian rows.
 """
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from math import atan2, pi, sqrt
+from math import atan2, pi, prod, sqrt
 from operator import add
 
 import numpy as np
@@ -25,10 +25,21 @@ import numpy as np
 from .errors import BadDimension, UndefinedAngle, ZeroRadius
 
 
+def _sin_squared(c):
+    """s^2 on the circle c^2 + s^2 = 1, the rule `IntPoly.on_circles` applies."""
+    return c * c * -1 + 1
+
+
 class IntPoly:
-    """Polynomial with int coefficients, as {exponent tuple: coefficient}
-    with no zero entries, so the zero polynomial has empty `terms`.  It
-    takes +, - and * with an int or an IntPoly in the same variables."""
+    """Laurent polynomial with int coefficients, as {exponent tuple:
+    coefficient} with no zero entries, so the zero polynomial has empty
+    `terms`.  It takes +, - and * with an int or an IntPoly in the same
+    variables, and ** with an int >= 0.
+
+    Variables c_k, s_k may stand for the cos and sin of angles: modulo
+    s_k^2 = 1 - c_k^2, Z[c_k, s_k] is an integral domain with the normal
+    form of `on_circles`, every s_k at degree <= 1, so a trig identity holds
+    exactly when its residual reduces to no terms."""
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int]):
         self.nvars = nvars
@@ -49,6 +60,9 @@ class IntPoly:
     def __sub__(self, other):
         return self + other * -1
 
+    def __neg__(self):
+        return self * -1
+
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
@@ -57,11 +71,33 @@ class IntPoly:
             out[tuple(map(add, ea, eb))] += ca * cb
         return IntPoly(self.nvars, out)
 
+    def __pow__(self, n: int):
+        return prod([self] * n, start=IntPoly(self.nvars, {(0,) * self.nvars: 1}))
+
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __eq__(self, other):
         return not (self - other).terms
+
+    def diff(self, k: int) -> IntPoly:
+        """Partial derivative in variable k."""
+        return IntPoly(self.nvars, {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
+                                    for e, c in self.terms.items()})
+
+    def on_circles(self, circles) -> IntPoly:
+        """Normal form modulo s^2 = 1 - c^2 for each (c, s) index pair."""
+        out, v = self, self.variables(self.nvars)
+        for c, s in circles:
+            rule, powers, acc = _sin_squared(v[c]), {}, Counter()
+            for e, coef in out.terms.items():
+                half, low = divmod(e[s], 2)
+                if half not in powers:
+                    powers[half] = rule ** half
+                for ep, cp in powers[half].terms.items():
+                    acc[tuple(map(add, e[:s] + (low,) + e[s + 1:], ep))] += coef * cp
+            out = IntPoly(self.nvars, acc)
+        return out
 
 
 # Rows of H(u; D) as (sign, index) pairs, indices 0-based into u.
@@ -253,34 +289,40 @@ def _angle_trig(h: HyperSpherical):
             np.sin(half_p), np.cos(half_p))
 
 
-def hyperspherical_inverse(h: HyperSpherical):
-    """Cartesian point from (r, theta, alpha, beta, gamma); angles may be arrays."""
-    st, ct, sb, cb, sm, cm, sp, cp = _angle_trig(h)
-    r = h.r
+def sphere_point(r, st, ct, sb, cb, sm, cm, sp, cp):
+    """The inverse map from r and the sin and cos of the circles of
+    `_angle_trig`; they may be floats, arrays or IntPoly variables."""
     return (r * ct, r * st * sb * sm, r * st * sb * cm, r * st * cb * sp,
             r * st * cb * cp)
+
+
+def sphere_frame(r, st, ct, sb, cb, sm, cm, sp, cp):
+    """Twice the rows d x / d (theta, beta, alpha, gamma) of `sphere_point`,
+    doubled so that every coefficient is an integer."""
+    return [
+        [-2 * r * st, 2 * r * ct * sb * sm, 2 * r * ct * sb * cm,
+         2 * r * ct * cb * sp, 2 * r * ct * cb * cp],
+        [0, r * st * cb * sm, r * st * cb * cm, -r * st * sb * sp,
+         -r * st * sb * cp],
+        [0, r * st * sb * cm, -r * st * sb * sm, r * st * cb * cp,
+         -r * st * cb * sp],
+        [0, -r * st * sb * cm, r * st * sb * sm, r * st * cb * cp,
+         -r * st * cb * sp],
+    ]
+
+
+def hyperspherical_inverse(h: HyperSpherical):
+    """Cartesian point from (r, theta, alpha, beta, gamma); angles may be arrays."""
+    return sphere_point(h.r, *_angle_trig(h))
 
 
 def angular_jacobian(h: HyperSpherical):
     """Rows d x_m / d (theta, beta, alpha, gamma) of the inverse map, the
     tangent frame of the radius-r sphere; the angles may be arrays."""
-    st, ct, sb, cb, sm, cm, sp, cp = _angle_trig(h)
-    r = h.r
-    return [
-        [-r * st, r * ct * sb * sm, r * ct * sb * cm,
-         r * ct * cb * sp, r * ct * cb * cp],
-        [0.0, r * st * cb * sm / 2, r * st * cb * cm / 2,
-         -r * st * sb * sp / 2, -r * st * sb * cp / 2],
-        [0.0, r * st * sb * cm / 2, -r * st * sb * sm / 2,
-         r * st * cb * cp / 2, -r * st * cb * sp / 2],
-        [0.0, -r * st * sb * cm / 2, r * st * sb * sm / 2,
-         r * st * cb * cp / 2, -r * st * cb * sp / 2],
-    ]
+    return [[v / 2 for v in row] for row in sphere_frame(h.r, *_angle_trig(h))]
 
 
 def inverse_jacobian(h: HyperSpherical):
     """Rows d x_m / d (r, theta, alpha, beta, gamma) of the inverse map."""
-    st, ct, sb, cb, sm, cm, sp, cp = _angle_trig(h)
     theta, beta, alpha, gamma = angular_jacobian(h)
-    return [[ct, st * sb * sm, st * sb * cm, st * cb * sp, st * cb * cp],
-            theta, alpha, beta, gamma]
+    return [list(sphere_point(1.0, *_angle_trig(h))), theta, alpha, beta, gamma]

@@ -105,9 +105,13 @@ def test_radial_modified_needs_coeffs(capsys):
      "out of floating-point range"),
     (("--kind", "modified", "--coeffs", "0,1e300"),
      "out of floating-point range"),
+    (("--omega", "1e-300"), "no classically allowed region"),
+    (("--omega", "1e-20"), "no classically allowed region"),
+    (("--kind", "modified", "--coeffs", "0,1e-300"),
+     "no classically allowed region"),
 ], ids=["n-points", "omega", "e2", "levels", "omega-nan", "omega-inf",
         "omega-overflow", "e2-overflow", "e2-underflow", "coeff-overflow",
-        "coeff-scale"])
+        "coeff-scale", "omega-tiny", "omega-small", "coeff-tiny"])
 def test_radial_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, "radial", *argv)
     assert code == 2
@@ -274,6 +278,8 @@ def test_missing_config_file(capsys):
     ("[units]\nmuo = 3/2\n", "muo"),
     ("[run]\nsuite = euler\n", "suite"),
     ("[tolerances]\nself_duality = 1e-10\n", "unknown tolerance 'self_duality'"),
+    ("[tolerances]\ntrig_bracket = 1e-7\n", "unknown tolerance 'trig_bracket'"),
+    ("[tolerances]\nangular_table = 1e-10\n", "unknown tolerance 'angular_table'"),
 ])
 def test_unknown_config_key(capsys, tmp_path, body, key):
     path = tmp_path / "run.ini"

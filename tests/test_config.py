@@ -58,7 +58,7 @@ def test_file_parsing(tmp_path):
     assert cfg.mu0 == Fraction(3, 2)
     assert cfg.e2 == Fraction(1, 4)
     assert cfg.tolerances["charge"] == 1e-9
-    assert cfg.tolerances["angular_table"] == 1e-10  # untouched default
+    assert cfg.tolerances["round_trip"] == 1e-12  # untouched default
     assert cfg.charge_nodes == (8, 8, 4, 4)
     assert cfg.charge_radius == 2.5
     assert cfg.n_points == 128

@@ -3,10 +3,13 @@ component-table audit."""
 
 from __future__ import annotations
 
+from itertools import permutations
+from math import pi
+
 import numpy as np
 import pytest
 
-from hkit import gauge
+from hkit import gauge, transforms
 from hkit.exact import CHART_A, CHART_B, GaussRat, R, ScalarExpr, X
 from hkit.gauge import (
     KNOWN_TABLE_DISCREPANCIES,
@@ -27,7 +30,9 @@ from hkit.gauge import (
     tau_product_check,
     vector_potential,
 )
-from hkit.transforms import angular_jacobian, hyperspherical_inverse
+from hkit.operators import perm_sign
+from hkit.transforms import (HyperSpherical, IntPoly, angular_jacobian,
+                             hyperspherical_inverse, sphere_frame, sphere_point)
 
 SEED = 20240814
 
@@ -84,15 +89,22 @@ def test_perturbed_potential_fails_every_potential_check(monkeypatch, chart):
 
 
 def test_trig_generator_brackets():
-    assert su2_trig_generators_check("cot", 50, 1e-5, SEED) < 1e-7
+    assert su2_trig_generators_check("cot") == 0
 
 
 def test_trig_printed_coefficient_fails_bracket():
-    """The as-printed cos coefficient on the first generator breaks the
-    algebra by an O(1) residual; only the cot variant closes it."""
-    assert su2_trig_generators_check("printed", 20, 1e-5, SEED) > 1e-1
+    """The as-printed cos coefficient on the first generator leaves five of
+    the nine bracket components nonzero; only the cot variant closes it."""
+    assert su2_trig_generators_check("printed") == 5
     with pytest.raises(ValueError):
-        su2_trig_generators_check("secant", 5, 1e-5, SEED)
+        su2_trig_generators_check("secant")
+
+
+def test_wrong_circle_rule_breaks_the_trig_bracket(monkeypatch):
+    """With s^2 -> c^2 - 1 the normal form is no longer that of the trig
+    ring, and the cot bracket stops vanishing."""
+    monkeypatch.setattr(transforms, "_sin_squared", lambda c: c * c - 1)
+    assert su2_trig_generators_check("cot") > 0
 
 
 def test_chart_transition():
@@ -170,21 +182,63 @@ def test_imaginary_perturbation_fails_self_duality(monkeypatch):
     assert not self_duality_check()
 
 
+def _random_point(rng) -> HyperSpherical:
+    """A point off the chart's singular set, drawn as r, theta, alpha, beta, gamma."""
+    return HyperSpherical(
+        r=rng.uniform(0.5, 2.0),
+        theta=rng.uniform(0.3, pi - 0.3),
+        alpha=rng.uniform(0.1, 2 * pi - 0.1),
+        beta=rng.uniform(0.3, pi - 0.3),
+        gamma=rng.uniform(0.1, 4 * pi - 0.1),
+    )
+
+
 def test_sphere_orientation_is_theta_beta_alpha_gamma():
     """det[d x / d(theta, beta, alpha, gamma); x/r] is the volume factor,
     positive: the orientation eps(t_1, .., t_4, x/r) = +1 of the exact
     self-duality check is the one the row's anchor names."""
     rng = np.random.default_rng(SEED)
     for _ in range(200):
-        h = gauge._random_point(rng)
+        h = _random_point(rng)
         normal = [v / h.r for v in hyperspherical_inverse(h)]
         det = np.linalg.det(np.array(angular_jacobian(h) + [normal]))
         assert det > 0
         assert det == pytest.approx(sqrt_det_metric_closed(h), rel=1e-12)
 
 
+def test_sphere_orientation_determinant_is_exact():
+    """det[d x / d(theta, beta, alpha, gamma); x/r] = r^4 sin^3(theta)
+    sin(beta) / 8 as trig polynomials, sin(beta) = 2 sin(beta/2)
+    cos(beta/2); the rows come doubled, so the determinant is 16 times."""
+    r, *trig = IntPoly.variables(9)
+    st, _, sb, cb, *_ = trig
+    r_inv = IntPoly(9, {(-1,) + (0,) * 8: 1})
+    rows = sphere_frame(r, *trig) + [[xi * r_inv for xi in sphere_point(r, *trig)]]
+    det = sum((perm_sign(p) * rows[0][p[0]] * rows[1][p[1]] * rows[2][p[2]]
+               * rows[3][p[3]] * rows[4][p[4]] for p in permutations(range(5))),
+              r * 0)
+    want = r ** 4 * st ** 3 * sb * cb * 4
+    assert not (det - want).on_circles(((2, 1), (4, 3), (6, 5), (8, 7))).terms
+
+
 def test_angular_listing():
-    assert angular_field_check(50, SEED) < 1e-10
+    assert angular_field_check() == 0
+
+
+def test_printed_cartesian_table_fails_angular_listing(monkeypatch):
+    """F from the printed Cartesian table, with its three wrong entries,
+    misses 13 of the 30 pulled-back components."""
+    field_tensor_ = gauge.field_tensor
+    monkeypatch.setattr(gauge, "field_tensor",
+                        lambda a, chart=CHART_A: field_tensor_(a, chart, "table"))
+    assert angular_field_check() == 13
+
+
+def test_perturbed_listing_entry_fails_angular_listing(monkeypatch):
+    """F^3_(theta gamma) with its sign flipped."""
+    k, p, f = gauge._ANGULAR_LISTING[3, "theta", "gamma"]
+    monkeypatch.setitem(gauge._ANGULAR_LISTING, (3, "theta", "gamma"), (-k, p, f))
+    assert angular_field_check() == 1
 
 
 def test_field_antisymmetry():

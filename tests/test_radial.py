@@ -164,18 +164,15 @@ def _auto_box_one_point_at_a_time(problem, scaled_top):
     xs = np.geomspace(1e-6, 1e7, 1400)
     vals = np.array([forbidden(x) for x in xs])
     inside = np.nonzero(vals < 0)[0]
-    if inside.size == 0:
-        turn = float(xs[np.argmin(np.abs(vals))])
-    else:
-        lo = xs[inside[-1]]
-        hi = xs[min(inside[-1] + 1, xs.size - 1)]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if forbidden(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        turn = hi
+    lo = xs[inside[-1]]
+    hi = xs[min(inside[-1] + 1, xs.size - 1)]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if forbidden(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    turn = hi
     step = max(turn, 1.0) / 400.0
     action = 0.0
     x = turn
@@ -197,14 +194,24 @@ def _auto_box_one_point_at_a_time(problem, scaled_top):
     (RadialProblem.coulomb(5, 0.0, 1.5), -4.5 / 16.0),
     (RadialProblem.coulomb(5, 0.5, 1.0), -2.0 / 25.0),
     (RadialProblem.coulomb(3, 0.0, 1.0), -1.0 / 4.0),
-    (RadialProblem.coulomb(5, 0.0, 1.0), -10.0),
     (RadialProblem.modified((0.0, 0.5, 0.1)), 2.0 * 11.0),
 ], ids=["osc-8-0", "osc-8-2", "osc-4-0", "cou-5-0", "cou-5-0-e2", "cou-5-half",
-        "cou-3-0", "cou-no-allowed-region", "modified"])
+        "cou-3-0", "modified"])
 def test_auto_box_matches_the_scalar_walk(prob, scaled_top):
     """The array scan and the cumsum action walk give the scalar loop's box
-    bit for bit, on either branch of the turning-point search."""
+    bit for bit."""
     assert radial._auto_box(prob, scaled_top) == _auto_box_one_point_at_a_time(prob, scaled_top)
+
+
+@pytest.mark.parametrize("prob,scaled_top", [
+    (RadialProblem.coulomb(5, 0.0, 1.0), -10.0),
+    (RadialProblem.oscillator(8, 0, 1e-300), 8e-300),
+], ids=["cou-below-the-well", "osc-tiny-omega"])
+def test_auto_box_without_allowed_region_raises(prob, scaled_top):
+    """No classically allowed point on the scan is an error naming the
+    scanned range, not a wall at the cap."""
+    with pytest.raises(ValueError, match=r"\[1e-06, 1e\+07\]"):
+        radial._auto_box(prob, scaled_top)
 
 
 # ----- problem validation --------------------------------------------------------

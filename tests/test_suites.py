@@ -16,7 +16,7 @@ import pytest
 
 from hkit import suites, symmetry, transforms
 from hkit.cli import main
-from hkit.config import SUITES, SuiteConfig
+from hkit.config import DEFAULT_TOLERANCES, SUITES, SuiteConfig
 from hkit.operators import OperatorExpr
 from hkit.report import MODE_EXACT, MODE_NUMERIC, CheckReport, to_json
 
@@ -32,6 +32,22 @@ def test_suite_names_have_one_source_of_truth():
     props = schema["properties"]
     assert tuple(props["config"]["properties"]["suites"]["items"]["enum"]) == SUITES
     assert tuple(props["rows"]["items"]["properties"]["suite"]["enum"]) == SUITES
+
+
+def test_every_tolerance_is_read_by_a_suite():
+    """The runners read exactly the keys of DEFAULT_TOLERANCES, so a retired
+    check cannot leave its tolerance behind."""
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    cfg = SuiteConfig(tolerances=Recording(DEFAULT_TOLERANCES))
+    for runner in suites.SUITE_RUNNERS.values():
+        runner(cfg)
+    assert read == set(DEFAULT_TOLERANCES)
 
 
 def test_jobs_2_rows_equal_jobs_1():

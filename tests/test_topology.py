@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hkit.exact import CHART_A, CHART_B
-from hkit.gauge import _XBAR_INDEX, Y_ANGULAR, angular_field_at, sqrt_det_metric_closed
+from hkit.gauge import Y_ANGULAR, angular_field_at, sqrt_det_metric_closed
 from hkit.operators import perm_sign
 from hkit.topology import (
     EXACT_NODES,
@@ -70,6 +70,10 @@ def test_result_fields():
 
 
 # ----- the facts behind the exactness counts ---------------------------------
+
+# Where angular_field_at puts each coordinate.
+_XBAR_INDEX = {"r": 0, "theta": 1, "alpha": 2, "beta": 3, "gamma": 4}
+
 
 def _random_points(n, seed):
     rng = np.random.default_rng(seed)
