@@ -20,7 +20,7 @@ rest on, is proved in tests.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import cos, sin, sqrt
 
 import numpy as np
@@ -71,44 +71,35 @@ def tau_product_check(tau=None) -> bool:
     """4 t^a_ij t^b_jk = delta_ab (delta_ik - delta_i0 delta_k0)
     + 2i eps_abc t^c_ik, checked entrywise."""
     tau = TAU if tau is None else tau
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            for i in range(5):
-                for k in range(5):
-                    lhs = sum((tau[a][i][j] * tau[b][j][k] for j in range(5)),
-                              GaussRat(0)) * 4
-                    rhs = GaussRat(_delta_bar(i, k)) if a == b else GaussRat(0)
-                    for c in (1, 2, 3):
-                        e = eps3(a, b, c)
-                        if e:
-                            rhs = rhs + tau[c][i][k] * GaussRat(0, 2 * e)
-                    if lhs != rhs:
-                        return False
+    for a, b, i, k in product((1, 2, 3), (1, 2, 3), range(5), range(5)):
+        lhs = sum((tau[a][i][j] * tau[b][j][k] for j in range(5)), GaussRat(0)) * 4
+        rhs = GaussRat(_delta_bar(i, k)) if a == b else GaussRat(0)
+        for c in (1, 2, 3):
+            e = eps3(a, b, c)
+            if e:
+                rhs = rhs + tau[c][i][k] * GaussRat(0, 2 * e)
+        if lhs != rhs:
+            return False
     return True
 
 
 def tau_eps_identity_check(tau=None) -> bool:
     """eps_abc t^b_ij t^c_km as a four-fold delta/tau combination."""
     tau = TAU if tau is None else tau
-    for a in (1, 2, 3):
-        for i in range(5):
-            for j in range(5):
-                for k in range(5):
-                    for m in range(5):
-                        lhs = GaussRat(0)
-                        for b in (1, 2, 3):
-                            for c in (1, 2, 3):
-                                e = eps3(a, b, c)
-                                if e:
-                                    lhs = lhs + tau[b][i][j] * tau[c][k][m] * e
-                        rhs = (
-                            tau[a][j][m] * (-_delta_bar(i, k))
-                            - tau[a][j][k] * (-_delta_bar(i, m))
-                            + tau[a][i][k] * (-_delta_bar(j, m))
-                            - tau[a][i][m] * (-_delta_bar(j, k))
-                        ) * _HALF_I
-                        if lhs != rhs:
-                            return False
+    for a, i, j, k, m in product((1, 2, 3), *[range(5)] * 4):
+        lhs = GaussRat(0)
+        for b, c in product((1, 2, 3), repeat=2):
+            e = eps3(a, b, c)
+            if e:
+                lhs = lhs + tau[b][i][j] * tau[c][k][m] * e
+        rhs = (
+            tau[a][j][m] * (-_delta_bar(i, k))
+            - tau[a][j][k] * (-_delta_bar(i, m))
+            + tau[a][i][k] * (-_delta_bar(j, m))
+            - tau[a][i][m] * (-_delta_bar(j, k))
+        ) * _HALF_I
+        if lhs != rhs:
+            return False
     return True
 
 
@@ -219,34 +210,29 @@ def field_tensor(a: int, chart: int = CHART_A, method: str = "definition"):
     if method == "definition":
         A = {c: vector_potential(c, chart) for c in (1, 2, 3)}
         F = [[ScalarExpr.zero()] * 5 for _ in range(5)]
-        for i in range(5):
-            for j in range(i + 1, 5):
-                v = A[a][j].diff(i) - A[a][i].diff(j)
-                for b in (1, 2, 3):
-                    for c in (1, 2, 3):
-                        e = eps3(a, b, c)
-                        if e:
-                            v = v + A[b][i] * A[c][j] * e
-                F[i][j] = v
-                F[j][i] = -v
+        for i, j in combinations(range(5), 2):
+            v = A[a][j].diff(i) - A[a][i].diff(j)
+            for b, c in product((1, 2, 3), repeat=2):
+                e = eps3(a, b, c)
+                if e:
+                    v = v + A[b][i] * A[c][j] * e
+            F[i][j] = v
+            F[j][i] = -v
         return tuple(tuple(row) for row in F)
     if method == "closed":
         s = 1 if chart == CHART_A else -1
         tau = chart_tau(chart)
         A = vector_potential(a, chart)
         F = [[ScalarExpr.zero()] * 5 for _ in range(5)]
-        for i in range(5):
-            for j in range(i + 1, 5):
-                v = A[i] * X[j] - A[j] * X[i]
-                if j == 0:
-                    v = v + A[i] * ScalarExpr.term(s, rp=1)
-                if i == 0:
-                    v = v - A[j] * ScalarExpr.term(s, rp=1)
-                if tau[a][i][j]:
-                    v = v - ScalarExpr.const(tau[a][i][j] * GaussRat(0, 2))
-                v = v * ScalarExpr.rpow(-2)
-                F[i][j] = v
-                F[j][i] = -v
+        for i, j in combinations(range(5), 2):
+            v = A[i] * X[j] - A[j] * X[i]
+            if i == 0:  # j > i, so only the first index can be 0
+                v = v - A[j] * ScalarExpr.term(s, rp=1)
+            if tau[a][i][j]:
+                v = v - ScalarExpr.const(tau[a][i][j] * GaussRat(0, 2))
+            v = v * ScalarExpr.rpow(-2)
+            F[i][j] = v
+            F[j][i] = -v
         return tuple(tuple(row) for row in F)
     if method == "table":
         if chart != CHART_A:
@@ -274,7 +260,6 @@ def _diag(i, j):
 @lru_cache(maxsize=None)
 def _field_table(a: int):
     e = [[None] * 5 for _ in range(5)]
-    x = [(1 if k == m else 0 for m in range(5)) for k in range(5)]
 
     def mono(*pairs):
         m = [0] * 5
@@ -316,10 +301,9 @@ def _field_table(a: int):
         e[2][4] = _pair(1, mono(2, 3), -1, mono(1, 4))
         e[3][4] = _diag(3, 4)
     F = [[ScalarExpr.zero()] * 5 for _ in range(5)]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            F[i][j] = e[i][j]
-            F[j][i] = -e[i][j]
+    for i, j in combinations(range(5), 2):
+        F[i][j] = e[i][j]
+        F[j][i] = -e[i][j]
     return tuple(tuple(row) for row in F)
 
 

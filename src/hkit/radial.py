@@ -43,6 +43,7 @@ _BOX_CAP_FACTOR = 60.0  # hard stop for the wall search, in turning-point units
 _PILOT_POINTS = 768     # interior points of every pilot solve
 _INVERSE_STEPS = 2      # inverse-iteration solves per level
 _CERT_ULPS = 16.0       # rounding margin of the level certificate, in eps ||T||
+_SCAN = np.geomspace(1e-6, 1e7, 1400)  # turning-point scan, in units of a length
 
 OSCILLATOR = "oscillator"
 COULOMB = "coulomb"
@@ -152,14 +153,26 @@ def _scaled_potential(problem: RadialProblem):
     return lambda x: scale * np.polyval(coeffs, x * x)
 
 
+def _length(problem: RadialProblem) -> float:
+    """Where hbar^2 / (m x^2) meets the potential (its shortest such term)."""
+    h2m = problem.hbar ** 2 / problem.mass
+    if problem.kind == OSCILLATOR:
+        return math.sqrt(problem.hbar / (problem.mass * problem.omega))
+    if problem.kind == COULOMB:
+        return h2m / problem.e2
+    return min((h2m / c) ** (1.0 / (2 * k + 2))
+               for k, c in enumerate(problem.coeffs) if k > 0 and c > 0)
+
+
 def _auto_box(problem: RadialProblem, scaled_top: float) -> float:
     """Wall position: outer turning point plus enough barrier action.
 
     `scaled_top` is (2m/hbar^2) E of the least-bound retained level.  The
     wall goes where the WKB action integral of the effective potential
     past the outer turning point reaches _ACTION_TARGET, so the truncated
-    tail cannot shift eigenvalues at the tolerances used here.  An energy
-    with no classically allowed point on the scan raises ValueError.
+    tail cannot shift eigenvalues at the tolerances used here.  The outer
+    turning point is the last sign change on _SCAN, or else on _SCAN in
+    units of `_length(problem)`; if neither brackets one, ValueError.
     """
     lam = effective_lambda(problem.dim, problem.ell)
     w = _scaled_potential(problem)
@@ -167,15 +180,15 @@ def _auto_box(problem: RadialProblem, scaled_top: float) -> float:
     def forbidden(x):
         return lam / (x * x) + w(x) - scaled_top
 
-    # Outer turning point: last sign change on a geometric scan.
-    xs = np.geomspace(1e-6, 1e7, 1400)
-    vals = forbidden(xs)
-    inside = np.nonzero(vals < 0)[0]
-    if inside.size == 0:
-        raise ValueError(f"no classically allowed region on the wall scan "
+    for xs in (_SCAN, _length(problem) * _SCAN):
+        inside = np.nonzero(forbidden(xs) < 0)[0]
+        if inside.size and inside[-1] < xs.size - 1:
+            break
+    else:
+        raise ValueError(f"no outer turning point on the wall scan "
                          f"[{xs[0]:.0e}, {xs[-1]:.0e}]")
     lo = xs[inside[-1]]
-    hi = xs[min(inside[-1] + 1, xs.size - 1)]
+    hi = xs[inside[-1] + 1]
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if forbidden(mid) < 0:
@@ -407,8 +420,6 @@ def solve_coulomb(problem: RadialProblem, levels: int = 1, *,
         raise ValueError(f"need a coulomb problem, got {problem.kind!r}")
     _check_levels(levels)  # coulomb_level(problem, -1) divides by zero at d = 3, l = 0
     top = coulomb_level(problem, levels - 1)
-    if top == 0.0:  # e2^2 underflowed: no level, and no wall, is left to place
-        raise FloatingPointError(f"coulomb levels underflow at e2 = {problem.e2!r}")
     scaled_top = 2 * problem.mass * top / problem.hbar ** 2
     return _solve(problem, levels, refine, rtol, scaled_top)
 
@@ -426,14 +437,17 @@ def solve_modified(problem: RadialProblem, levels: int = 1, *,
     _check_levels(levels)
     scale = 2 * problem.mass / problem.hbar ** 2
     if problem.box is None:
+        lam, wfun = effective_lambda(problem.dim, problem.ell), _scaled_potential(problem)
         c1 = problem.coeffs[1] if problem.coeffs[1] > 0 else problem.coeffs[-1]
         w_eff = math.sqrt(2 * c1 / problem.mass)
-        guess = (problem.coeffs[0]
-                 + problem.hbar * w_eff * (2 * (levels + 1) + problem.ell + problem.dim / 2))
-        pilot_box = _auto_box(problem, scale * guess)
-        _, pilot, _ = _pilot_eigen(effective_lambda(problem.dim, problem.ell),
-                                   _scaled_potential(problem), pilot_box,
-                                   _PILOT_POINTS, levels)
+        guess = scale * (problem.coeffs[0] + problem.hbar * w_eff
+                         * (2 * (levels + 1) + problem.ell + problem.dim / 2))
+        # Higher terms can lift the well above the harmonic guess: then
+        # guess the floor of the well plus its rise over c0.
+        xs = _length(problem) * _SCAN
+        floor = float(np.min(lam / (xs * xs) + wfun(xs)))
+        guess = max(guess, 2 * floor - scale * problem.coeffs[0])
+        _, pilot, _ = _pilot_eigen(lam, wfun, _auto_box(problem, guess), _PILOT_POINTS, levels)
         pilot *= problem.hbar ** 2 / (2 * problem.mass)
         spacing = (pilot[-1] - pilot[0]) / max(levels - 1, 1)
         top = pilot[-1] + max(spacing, abs(pilot[-1]) * 0.1)

@@ -105,18 +105,32 @@ def test_radial_modified_needs_coeffs(capsys):
      "out of floating-point range"),
     (("--kind", "modified", "--coeffs", "0,1e300"),
      "out of floating-point range"),
-    (("--omega", "1e-300"), "no classically allowed region"),
-    (("--omega", "1e-20"), "no classically allowed region"),
+    (("--omega", "1e-300"), "out of floating-point range"),
+    (("--omega", "1e-200"), "no outer turning point on the wall scan"),
     (("--kind", "modified", "--coeffs", "0,1e-300"),
-     "no classically allowed region"),
+     "out of floating-point range"),
 ], ids=["n-points", "omega", "e2", "levels", "omega-nan", "omega-inf",
         "omega-overflow", "e2-overflow", "e2-underflow", "coeff-overflow",
-        "coeff-scale", "omega-tiny", "omega-small", "coeff-tiny"])
+        "coeff-scale", "omega-tiny", "omega-unconfined", "coeff-tiny"])
 def test_radial_bad_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, "radial", *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--omega", "1e-20"),
+    ("--omega", "1e-16"),
+    ("--kind", "modified", "--coeffs", "0,0.01,1"),
+], ids=["omega-small", "omega-1e-16", "quartic-dominated"])
+def test_radial_far_scales_solve(capsys, argv):
+    """Couplings whose turning point lies past the fixed scan, and a well
+    above the modified pilot's harmonic guess, are solved, not refused."""
+    code, out, _ = run(capsys, "radial", *argv, "--format", "json")
+    assert code == 0
+    for level in json.loads(out)["levels"]:
+        assert level["rel_error"] is None or level["rel_error"] < 1e-6
 
 
 def test_radial_half_integer_l(capsys):

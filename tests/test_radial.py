@@ -203,15 +203,32 @@ def test_auto_box_matches_the_scalar_walk(prob, scaled_top):
     assert radial._auto_box(prob, scaled_top) == _auto_box_one_point_at_a_time(prob, scaled_top)
 
 
-@pytest.mark.parametrize("prob,scaled_top", [
-    (RadialProblem.coulomb(5, 0.0, 1.0), -10.0),
-    (RadialProblem.oscillator(8, 0, 1e-300), 8e-300),
-], ids=["cou-below-the-well", "osc-tiny-omega"])
-def test_auto_box_without_allowed_region_raises(prob, scaled_top):
-    """No classically allowed point on the scan is an error naming the
-    scanned range, not a wall at the cap."""
-    with pytest.raises(ValueError, match=r"\[1e-06, 1e\+07\]"):
+@pytest.mark.parametrize("prob,scaled_top,scan", [
+    (RadialProblem.coulomb(5, 0.0, 1.0), -10.0, r"\[1e-06, 1e\+07\]"),
+    # omega^2 underflows to 0: nothing confines, the last point is allowed
+    (RadialProblem.oscillator(8, 0, 1e-200), 8e-200, r"\[1e\+94, 1e\+107\]"),
+], ids=["cou-below-the-well", "osc-unconfined"])
+def test_auto_box_without_turning_point_raises(prob, scaled_top, scan):
+    """A turning point that neither scan brackets is an error naming the
+    last range scanned, not a wall at the cap."""
+    with pytest.raises(ValueError, match=scan):
         radial._auto_box(prob, scaled_top)
+
+
+@pytest.mark.parametrize("prob", [
+    RadialProblem.oscillator(8, 0, 1e-20),
+    RadialProblem.oscillator(6, 3, 1e-16),
+    RadialProblem.coulomb(5, 0.0, 1e-30),
+], ids=["osc-1e-20", "osc-1e-16-L3", "cou-1e-30"])
+def test_turning_point_past_the_fixed_scan(prob):
+    """Where the turning point lies past 1e7, the scan in the problem's own
+    length finds it, and the levels keep the oscillator's accuracy."""
+    solve, level = ((solve_oscillator, oscillator_level) if prob.kind == "oscillator"
+                    else (solve_coulomb, coulomb_level))
+    res = solve(prob, levels=3)
+    assert res.box > 1e7
+    for k, e in enumerate(res.eigenvalues):
+        assert float(e) == pytest.approx(level(prob, k), rel=1e-6)
 
 
 # ----- problem validation --------------------------------------------------------
@@ -367,6 +384,21 @@ def test_modified_quartic_levels_ordered():
     assert vals[0] > 4.0  # quartic term raises every level
     for c in res.convergence:
         assert c < 1e-4
+
+
+def test_modified_pilot_guess_below_the_well():
+    """A quartic-dominated well lies above the harmonic guess of the box
+    pilot; the pilot lifts the guess into the well and the solve succeeds,
+    with the levels the potential-minimum fallback once gave."""
+    prob = RadialProblem.modified((0.0, 0.01, 1.0))
+    lam, w = radial.effective_lambda(8, 0), radial._scaled_potential(prob)
+    xs = radial._SCAN
+    guess = 2 * (2 * 0.01) ** 0.5 * (2 * 4 + 4)  # scaled c0 + hbar w_eff (2 (levels + 1) + D/2)
+    assert guess < float(np.min(lam / (xs * xs) + w(xs)))
+    res = solve_modified(prob, levels=3)
+    ref = (8.105609361737505, 14.527236065297418, 21.63337471471846)
+    for got, want in zip(res.eigenvalues, ref):
+        assert float(got) == pytest.approx(want, rel=1e-9)
 
 
 def test_radial_runtime_budget():
