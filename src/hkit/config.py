@@ -41,7 +41,6 @@ SUITES = ("euler", "gauge", "field", "charge", "algebra", "casimir",
 DEFAULT_TOLERANCES = {
     "charge": 1e-10,
     "charge_refinement": 1e-12,
-    "gauge_transform": 1e-10,
     "round_trip": 1e-12,
     "casimir_numeric": 1e-8,
     "radial_rel": 1e-6,

@@ -8,20 +8,19 @@ TAU_BAR (second patch); both patches are fixed a second time by the
 transition function built from the base Euler angles, which is how the
 second listing was pinned down in the first place.
 
-Everything here is exact but the patch transition, which is checked
-numerically: the potential and field identities over the localized radius
-ring (self-duality among them, in a Cartesian form that needs no metric),
-and the trig realization of the generators and the angular form of the
-field as trig polynomials on transforms.IntPoly.  The closed volume factor
-sqrt_det_metric_closed, which the charge quadrature's exact node counts
-rest on, is proved in tests.
+Every check here is exact: the potential and field identities over the
+localized radius ring (self-duality among them, in a Cartesian form that
+needs no metric), and the trig realization of the generators, the patch
+transition and the angular form of the field as trig polynomials on
+transforms.IntPoly.  The closed volume factor sqrt_det_metric_closed, which
+the charge quadrature's exact node counts rest on, is proved in tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from math import cos, sin, sqrt
+from math import sin
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import ChartMismatch
 from .exact import (CHART_A, CHART_B, GaussRat, Point5, R, ScalarExpr, X)
 from .operators import OperatorExpr, eps3, perm_sign
 from .transforms import (HyperSpherical, IntPoly, hyperspherical_inverse,
-                         inverse_jacobian, space_angles, sphere_frame, sphere_point)
+                         inverse_jacobian, sphere_frame, sphere_point)
 
 # Antisymmetric 5x5 generator blocks, row and column 0 empty.  Entries
 # are +-i/2; the bar variant flips every entry that pairs index a with 4.
@@ -383,6 +382,32 @@ def self_duality_check(chart: int = CHART_A) -> bool:
 
 # ----- trig realization of the generators -------------------------------------
 
+# (cos, sin) variable pairs of the four circles of `transforms.angle_trig`,
+# in the nine variables r, sin theta, cos theta, ... of `sphere_point`.
+_CIRCLES = ((2, 1), (4, 3), (6, 5), (8, 7))
+
+
+def _angle_diff(f: IntPoly, c: int, s: int) -> IntPoly:
+    """d f / d phi, phi the angle whose cos and sin are variables c and s."""
+    v = IntPoly.variables(f.nvars)
+    return f.diff(s) * v[c] - f.diff(c) * v[s]
+
+
+def _pulled_back(e: ScalarExpr, x, lift: IntPoly, clear: int) -> IntPoly:
+    """e times lift^clear as an IntPoly in the nine variables, each term
+    x^m r^k (r + s x0)^n of e taken at the point x of `sphere_point`, with
+    lift = r + s x0 its chart's axis factor."""
+    out = lift * 0
+    for (m, k, n), c in e.items():
+        if c.b or c.d != 1:
+            raise ValueError("coefficients must be integers")
+        term = IntPoly(9, {(k,) + (0,) * 8: c.a}) * lift ** (n + clear)
+        for xi, mi in zip(x, m):
+            term = term * xi ** mi
+        out = out + term
+    return out
+
+
 def su2_trig_generators_check(variant: str = "cot") -> int:
     """How many of the 9 components of [T_a, T_b] - i eps_abc T_c, axes
     (alpha, beta, gamma), are nonzero as trig polynomials.
@@ -393,7 +418,7 @@ def su2_trig_generators_check(variant: str = "cot") -> int:
     P_b^k d_j sin(beta)) - (a <-> b) - eps_abc P_c^k sin^2(beta).  'cot' has
     cos(alpha) cot(beta) on d_alpha of S_1, 'printed' cos(alpha) cos(beta).
     """
-    ca, sa, cb, sb = v = IntPoly.variables(4)
+    ca, sa, cb, sb = IntPoly.variables(4)
     p1 = {"cot": ca * cb, "printed": ca * cb * sb}.get(variant)
     if p1 is None:
         raise ValueError(f"unknown variant {variant!r}")
@@ -401,7 +426,7 @@ def su2_trig_generators_check(variant: str = "cot") -> int:
     P = {1: (p1, sa * sb, -ca), 2: (sa * cb, -ca * sb, -sa), 3: (-sb, zero, zero)}
 
     def d(f, j):  # d/dalpha, d/dbeta: variables 2j, 2j + 1 are their cos, sin
-        return f.diff(2 * j + 1) * v[2 * j] - f.diff(2 * j) * v[2 * j + 1]
+        return _angle_diff(f, 2 * j, 2 * j + 1)
 
     def lie(a, b, k):  # no coefficient depends on gamma
         return sum((P[a][j] * (d(P[b][k], j) * sb - P[b][k] * d(sb, j))
@@ -414,81 +439,61 @@ def su2_trig_generators_check(variant: str = "cot") -> int:
 
 # ----- patch transition --------------------------------------------------------
 
-_S1 = np.array([[0, 1], [1, 0]], complex)
-_S2 = np.array([[0, -1j], [1j, 0]], complex)
-_S3 = np.array([[1, 0], [0, -1]], complex)
-SPIN_NUM = {1: _S1 / 2, 2: _S2 / 2, 3: _S3 / 2}
+def _transition(sb, cb, sm, cm, sp, cp):
+    """S = exp(-i gamma T3) exp(-i beta T2) exp(-i alpha T3) from the sin and
+    cos of beta / 2, (alpha - gamma) / 2 and (alpha + gamma) / 2, as 2x2
+    entries (real part, imaginary part)."""
+    return (((cb * cp, -cb * sp), (-sb * cm, -sb * sm)),
+            ((sb * cm, -sb * sm), (cb * cp, cb * sp)))
 
 
-def _ez(t: float) -> np.ndarray:
-    return np.diag([np.exp(1j * t / 2), np.exp(-1j * t / 2)])
+def _cmul(z, w):
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
 
 
-def _ey(t: float) -> np.ndarray:
-    c, s = cos(t / 2), sin(t / 2)
-    return np.array([[c, s], [-s, c]], complex)
+def gauge_transform_check() -> int:
+    """How many of the 40 real and imaginary parts of S A_m - i d_m S - B_m S
+    are nonzero as trig polynomials, m over (r, theta, beta, alpha, gamma).
 
-
-def transition_matrix(x) -> np.ndarray:
-    """S = exp(-i gamma T3) exp(-i beta T2) exp(-i alpha T3) at a base point."""
-    a = space_angles(x)
-    return _ez(-a.gamma) @ _ey(-a.beta) @ _ez(-a.alpha)
-
-
-def _space_angle_gradients(x):
-    x0, x1, x2, x3, x4 = x
-    s1s, s2s = x1 * x1 + x2 * x2, x3 * x3 + x4 * x4
-    s1, s2 = sqrt(s1s), sqrt(s2s)
-    rho2 = s1s + s2s
-    gp1 = np.array([0, x2 / s1s, -x1 / s1s, 0, 0])
-    gp2 = np.array([0, 0, 0, x4 / s2s, -x3 / s2s])
-    gb = np.array([0, 2 * x1 * s2 / (s1 * rho2), 2 * x2 * s2 / (s1 * rho2),
-                   -2 * x3 * s1 / (s2 * rho2), -2 * x4 * s1 / (s2 * rho2)])
-    return gp1 + gp2, gb, gp2 - gp1
-
-
-def _potential_matrix(x, chart: int) -> list[np.ndarray]:
-    p = Point5([float(v) for v in x])
-    out = []
-    for j in range(5):
-        m = np.zeros((2, 2), complex)
-        for a in (1, 2, 3):
-            m += vector_potential(a, chart)[j].evaluate(p) * SPIN_NUM[a]
-        out.append(m)
-    return out
-
-
-def gauge_transform_check(n_points: int = 100, seed: int = 0) -> float:
-    """Worst | S A_j S^-1 + i S (d_j S^-1) - B_j | over random points.
-
-    The derivative of S^-1 is taken analytically through the angle
-    gradients, so the only error source is floating point itself.
+    The identity is B = S A S^-1 + i S d S^-1 times S, as d S^-1 =
+    -S^-1 (d S) S^-1.  A_m and B_m are the chart potentials A^a T_a pulled
+    back along the rows d x / d(r, theta, beta, alpha, gamma), all doubled
+    as `sphere_frame` doubles its own; the identity is cleared of
+    r^2 (1 + cos theta)(1 - cos theta) = (r + x0)(r - x0), and 2 d_beta,
+    2 d_alpha, 2 d_gamma are d_b, d_- + d_+, d_+ - d_- in the half angles
+    beta / 2 and (alpha -+ gamma) / 2.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    n = 0
-    while n < n_points:
-        x = rng.uniform(-1.5, 1.5, 5)
-        s1 = sqrt(x[1] ** 2 + x[2] ** 2)
-        s2 = sqrt(x[3] ** 2 + x[4] ** 2)
-        if s1 < 0.2 or s2 < 0.2:
-            continue
-        n += 1
-        ang = space_angles(x)
-        al, be, ga = ang.alpha, ang.beta, ang.gamma
-        S = transition_matrix(x)
-        Sinv = _ez(al) @ _ey(be) @ _ez(ga)
-        dSa = 1j * SPIN_NUM[3] @ Sinv
-        dSb = _ez(al) @ (1j * SPIN_NUM[2]) @ _ey(be) @ _ez(ga)
-        dSg = Sinv @ (1j * SPIN_NUM[3])
-        gal, gbe, gga = _space_angle_gradients(x)
-        Amats = _potential_matrix(x, CHART_A)
-        Bmats = _potential_matrix(x, CHART_B)
-        for j in range(5):
-            djSinv = dSa * gal[j] + dSb * gbe[j] + dSg * gga[j]
-            lhs = S @ Amats[j] @ Sinv + 1j * (S @ djSinv)
-            worst = max(worst, float(np.max(np.abs(lhs - Bmats[j]))))
-    return worst
+    r, *trig = IntPoly.variables(9)
+    x = sphere_point(r, *trig)
+    rows = [[2 * e for e in sphere_point(1, *trig)], *sphere_frame(r, *trig)]
+    zero, clear = r * 0, (r + x[0]) * (r - x[0])
+    S = _transition(*trig[2:])
+    # 2 d_m as (sign, sin variable) of its half-angle derivatives.
+    halves = ((), (), ((1, 3),), ((1, 5), (1, 7)), ((-1, 5), (1, 7)))
+
+    def pauli(chart):  # 4 clear A^a_m T_a as 2x2 entries, one matrix per m
+        lift, other = r + x[0] * chart, r - x[0] * chart
+        A = [[_pulled_back(e, x, lift, 1) * other
+              for e in vector_potential(a, chart)] for a in (1, 2, 3)]
+        out = []
+        for row in rows:
+            p1, p2, p3 = (sum((e * w for e, w in zip(Aa, row)), zero) for Aa in A)
+            out.append((((p3, zero), (p1, -p2)), ((p1, p2), (-p3, zero))))
+        return out
+
+    PA, PB = pauli(CHART_A), pauli(CHART_B)
+    nonzero = 0
+    for m, half in enumerate(halves):
+        for i, j in product((0, 1), repeat=2):
+            d_re, d_im = (sum((_angle_diff(p, s + 1, s) * sign for sign, s in half), zero)
+                          for p in S[i][j])
+            re, im = clear * d_im * 2, clear * d_re * -2  # -2i clear (2 d_m S)
+            for k in (0, 1):
+                (a_re, a_im), (b_re, b_im) = (_cmul(S[i][k], PA[m][k][j]),
+                                              _cmul(PB[m][i][k], S[k][j]))
+                re, im = re + a_re - b_re, im + a_im - b_im
+            nonzero += sum(bool(p.on_circles(_CIRCLES).terms) for p in (re, im))
+    return nonzero
 
 
 # ----- angular form of the field ------------------------------------------------
@@ -552,24 +557,13 @@ def angular_field_check() -> int:
     factor = {"sin a": sm * cp + cm * sp, "cos a": cm * cp - sm * sp,
               "sin b": sb * cb * 2, "cos b": cb * cb - sb * sb}
 
-    def poly(e: ScalarExpr) -> IntPoly:
-        out = r * 0
-        for (m, k, n), c in e.items():
-            if c.b or c.d != 1:
-                raise ValueError("field coefficients must be integers")
-            term = IntPoly(9, {(k,) + (0,) * 8: c.a}) * lift ** (n + clear)
-            for xi, mi in zip(x, m):
-                term = term * xi ** mi
-            out = out + term
-        return out
-
     names = ("r",) + Y_ANGULAR
     pairs = list(combinations(range(5), 2))
     minors = {(m, n): [J[m][i] * J[n][j] - J[m][j] * J[n][i] for i, j in pairs]
               for m, n in pairs}
     nonzero = 0
     for a in (1, 2, 3):
-        Fa = [poly(F[a][i][j]) for i, j in pairs]
+        Fa = [_pulled_back(F[a][i][j], x, lift, clear) for i, j in pairs]
         for m, n in pairs:
             k, p, *factors = _ANGULAR_LISTING.get((a, names[m], names[n]), (0, 0))
             res = st ** p * lift ** clear * -k
@@ -577,7 +571,7 @@ def angular_field_check() -> int:
                 res = res * factor[f]
             for f, w in zip(Fa, minors[m, n]):
                 res = res + f * w
-            nonzero += bool(res.on_circles(((2, 1), (4, 3), (6, 5), (8, 7))).terms)
+            nonzero += bool(res.on_circles(_CIRCLES).terms)
     return nonzero
 
 

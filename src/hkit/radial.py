@@ -201,8 +201,8 @@ def _auto_box(problem: RadialProblem, scaled_top: float) -> float:
     # cumsum adds the steps one at a time, as a running x += step would;
     # its rounding drifts far less than one step, so `count` steps pass
     # the cap.
-    step = max(turn, 1.0) / 400.0
-    cap = _BOX_CAP_FACTOR * max(turn, 1.0)
+    step = turn / 400.0
+    cap = _BOX_CAP_FACTOR * turn
     count = int((cap - turn) / step) + 2
     x = np.cumsum(np.concatenate(([turn], np.full(count, step))))
     cur = np.sqrt(np.maximum(forbidden(x[1:]), 0.0))

@@ -167,11 +167,12 @@ def run_gauge(cfg: SuiteConfig) -> list[CheckReport]:
         f"cot-coefficient variant, {9 - cot} of 9 bracket components vanish "
         f"as trig polynomials; the printed cos coefficient leaves {printed} "
         f"of 9 nonzero"))
-    rows.append(_numeric(
+    bad = gauge_transform_check()
+    rows.append(_exact(
         "gauge", "chart-transition",
-        "S A_j S^-1 + i S d_j S^-1 equals the second-chart potential",
-        gauge_transform_check(100, cfg.seed),
-        cfg.tolerances["gauge_transform"], "100 random points"))
+        "S A_j S^-1 + i S d_j S^-1 equals the second-chart potential", bad == 0,
+        f"{40 - bad} of 40 real and imaginary parts of S A_m - i d_m S - B_m S, "
+        f"m in (r, theta, beta, alpha, gamma), vanish as trig polynomials"))
     return rows
 
 

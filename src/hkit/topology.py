@@ -7,7 +7,8 @@ integrate it exactly once every node count reaches EXACT_NODES, whose
 docstring gives the derivation.  The reported error estimate is a truncation
 estimate: 0 at or above those counts, otherwise the distance to the exact
 grid.  It has no rounding term.  The nodes are pulled back through the
-same map and Jacobian (transforms) that the pointwise field rows use.
+same map and Jacobian rows (transforms.sphere_point, sphere_frame) that the
+pointwise field rows use, from one evaluation of the angles' sin and cos.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .exact import CHART_A, ScalarExpr
 from .gauge import field_tensor
-from .transforms import HyperSpherical, angular_jacobian, hyperspherical_inverse
+from .transforms import HyperSpherical, angle_trig, sphere_frame, sphere_point
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,15 @@ def _angular_nodes(spec: QuadratureSpec):
 
 def _charge_once(spec: QuadratureSpec, chart: int) -> tuple[float, np.ndarray]:
     TH, BE, AL, GA, W = _angular_nodes(spec)
-    h = HyperSpherical(spec.radius, TH, AL, BE, GA)
-    xs = hyperspherical_inverse(h)
+    trig = angle_trig(HyperSpherical(spec.radius, TH, AL, BE, GA))
+    xs = sphere_point(spec.radius, *trig)
     rr = np.full(TH.shape, float(spec.radius))
     sign = 1.0 if chart == CHART_A else -1.0
     axis = rr + sign * xs[0]
     J = np.empty((TH.shape[0], 4, 5))
-    for m, row in enumerate(angular_jacobian(h)):
+    for m, row in enumerate(sphere_frame(spec.radius, *trig)):
         for n, v in enumerate(row):
-            J[:, m, n] = v
+            J[:, m, n] = v / 2
     comps = []
     for a in (1, 2, 3):
         F = field_tensor(a, chart)

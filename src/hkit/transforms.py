@@ -72,6 +72,8 @@ class IntPoly:
         return IntPoly(self.nvars, out)
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"IntPoly ** {n}: the exponent must be >= 0")
         return prod([self] * n, start=IntPoly(self.nvars, {(0,) * self.nvars: 1}))
 
     __radd__ = __add__
@@ -280,7 +282,7 @@ def hyperspherical(x) -> HyperSpherical:
     return HyperSpherical(r, theta, a.alpha, a.beta, a.gamma)
 
 
-def _angle_trig(h: HyperSpherical):
+def angle_trig(h: HyperSpherical):
     """sin and cos of theta, beta / 2, (alpha - gamma) / 2, (alpha + gamma) / 2."""
     half_m = (h.alpha - h.gamma) / 2
     half_p = (h.alpha + h.gamma) / 2
@@ -291,7 +293,7 @@ def _angle_trig(h: HyperSpherical):
 
 def sphere_point(r, st, ct, sb, cb, sm, cm, sp, cp):
     """The inverse map from r and the sin and cos of the circles of
-    `_angle_trig`; they may be floats, arrays or IntPoly variables."""
+    `angle_trig`; they may be floats, arrays or IntPoly variables."""
     return (r * ct, r * st * sb * sm, r * st * sb * cm, r * st * cb * sp,
             r * st * cb * cp)
 
@@ -313,16 +315,16 @@ def sphere_frame(r, st, ct, sb, cb, sm, cm, sp, cp):
 
 def hyperspherical_inverse(h: HyperSpherical):
     """Cartesian point from (r, theta, alpha, beta, gamma); angles may be arrays."""
-    return sphere_point(h.r, *_angle_trig(h))
+    return sphere_point(h.r, *angle_trig(h))
 
 
 def angular_jacobian(h: HyperSpherical):
     """Rows d x_m / d (theta, beta, alpha, gamma) of the inverse map, the
     tangent frame of the radius-r sphere; the angles may be arrays."""
-    return [[v / 2 for v in row] for row in sphere_frame(h.r, *_angle_trig(h))]
+    return [[v / 2 for v in row] for row in sphere_frame(h.r, *angle_trig(h))]
 
 
 def inverse_jacobian(h: HyperSpherical):
     """Rows d x_m / d (r, theta, alpha, beta, gamma) of the inverse map."""
     theta, beta, alpha, gamma = angular_jacobian(h)
-    return [list(sphere_point(1.0, *_angle_trig(h))), theta, alpha, beta, gamma]
+    return [list(sphere_point(1.0, *angle_trig(h))), theta, alpha, beta, gamma]

@@ -133,6 +133,19 @@ def test_radial_far_scales_solve(capsys, argv):
         assert level["rel_error"] is None or level["rel_error"] < 1e-6
 
 
+@pytest.mark.parametrize("argv,bound", [
+    (("--omega", "1e12"), 2.2e-13),
+    (("--kind", "coulomb", "--e2", "1e6"), 4.5e-10),
+], ids=["omega-large", "e2-large"])
+def test_radial_short_scales_solve(capsys, argv, bound):
+    """Couplings whose length is far below 1 get a wall in their own length:
+    the levels come out as accurate as at unit coupling (2.1e-13 for the
+    oscillator, 4.5e-10 for Coulomb at n_points 4096)."""
+    code, out, _ = run(capsys, "radial", *argv, "--format", "json")
+    assert code == 0
+    assert max(level["rel_error"] for level in json.loads(out)["levels"]) <= bound
+
+
 def test_radial_half_integer_l(capsys):
     code, out, _ = run(capsys, "radial", "--kind", "coulomb", "--l", "1/2",
                        "--levels", "1", "--format", "json")
@@ -294,6 +307,8 @@ def test_missing_config_file(capsys):
     ("[tolerances]\nself_duality = 1e-10\n", "unknown tolerance 'self_duality'"),
     ("[tolerances]\ntrig_bracket = 1e-7\n", "unknown tolerance 'trig_bracket'"),
     ("[tolerances]\nangular_table = 1e-10\n", "unknown tolerance 'angular_table'"),
+    ("[tolerances]\ngauge_transform = 1e-10\n",
+     "unknown tolerance 'gauge_transform'"),
 ])
 def test_unknown_config_key(capsys, tmp_path, body, key):
     path = tmp_path / "run.ini"

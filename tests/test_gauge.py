@@ -108,7 +108,31 @@ def test_wrong_circle_rule_breaks_the_trig_bracket(monkeypatch):
 
 
 def test_chart_transition():
-    assert gauge_transform_check(100, SEED) < 1e-10
+    assert gauge_transform_check() == 0
+
+
+def test_transition_with_gamma_sign_flipped_fails(monkeypatch):
+    """S = exp(+i gamma T3) exp(-i beta T2) exp(-i alpha T3) trades the half
+    angles (alpha - gamma) / 2 and (alpha + gamma) / 2 in every entry."""
+    transition = gauge._transition
+    monkeypatch.setattr(gauge, "_transition", lambda sb, cb, sm, cm, sp, cp:
+                        transition(sb, cb, sp, cp, sm, cm))
+    assert gauge_transform_check() == 24
+
+
+def test_perturbed_second_chart_potential_fails_chart_transition(monkeypatch):
+    """B^1_2 off by x1 / (r (r - x0)): every row d x_2 / d y_m is nonzero,
+    so each B_m S gains a multiple of sigma_1 S, and no entry of S has a
+    vanishing real or imaginary part."""
+    vector_potential_ = gauge.vector_potential
+    extra = ScalarExpr.term(1, (0, 1, 0, 0, 0), rp=-1, ap=-1, chart=CHART_B)
+
+    def perturbed(a, chart=CHART_A):
+        A = vector_potential_(a, chart)
+        return A if (a, chart) != (1, CHART_B) else A[:2] + (A[2] + extra,) + A[3:]
+
+    monkeypatch.setattr(gauge, "vector_potential", perturbed)
+    assert gauge_transform_check() == 40
 
 
 # ----- field tensor ----------------------------------------------------------

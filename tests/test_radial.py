@@ -173,10 +173,10 @@ def _auto_box_one_point_at_a_time(problem, scaled_top):
         else:
             hi = mid
     turn = hi
-    step = max(turn, 1.0) / 400.0
+    step = turn / 400.0
     action = 0.0
     x = turn
-    cap = radial._BOX_CAP_FACTOR * max(turn, 1.0)
+    cap = radial._BOX_CAP_FACTOR * turn
     prev = 0.0
     while action < radial._ACTION_TARGET and x < cap:
         x += step
@@ -195,8 +195,9 @@ def _auto_box_one_point_at_a_time(problem, scaled_top):
     (RadialProblem.coulomb(5, 0.5, 1.0), -2.0 / 25.0),
     (RadialProblem.coulomb(3, 0.0, 1.0), -1.0 / 4.0),
     (RadialProblem.modified((0.0, 0.5, 0.1)), 2.0 * 11.0),
+    (RadialProblem.oscillator(8, 0, 1e4), 1.6e5),
 ], ids=["osc-8-0", "osc-8-2", "osc-4-0", "cou-5-0", "cou-5-0-e2", "cou-5-half",
-        "cou-3-0", "modified"])
+        "cou-3-0", "modified", "osc-8-0-short"])
 def test_auto_box_matches_the_scalar_walk(prob, scaled_top):
     """The array scan and the cumsum action walk give the scalar loop's box
     bit for bit."""

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from concurrent.futures import Future
 from dataclasses import replace
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hkit.cli import main
 from hkit.config import DEFAULT_TOLERANCES, SUITES, SuiteConfig
 from hkit.operators import OperatorExpr
 from hkit.report import MODE_EXACT, MODE_NUMERIC, CheckReport, to_json
+from hkit.transforms import IntPoly
 
 CHEAP = ("euler", "gauge", "spectrum", "radial")
 
@@ -168,6 +170,58 @@ def test_perturbed_hurwitz_component_fails_norm_identity_d8(monkeypatch,
                 if r.relation.startswith("norm-")}
     assert verdicts == {"norm-identity-D2": True, "norm-identity-D4": True,
                         "norm-identity-D8": False}
+
+
+def test_gauge_rows_do_not_depend_on_the_seed():
+    """Nothing in the gauge suite samples, so every row is exact and the
+    seed cannot move one."""
+    rows = suites.run_gauge(SuiteConfig(seed=11))
+    assert rows == suites.run_gauge(SuiteConfig(seed=12))
+    assert all(r.mode == MODE_EXACT and r.passed for r in rows)
+
+
+def _drop_a_cross_term(monkeypatch):
+    """IntPoly products of two sums lose the product of their first terms."""
+    mul = IntPoly.__mul__
+
+    def mutant(self, other):
+        out = mul(self, other)
+        if isinstance(other, int) or len(self.terms) < 2 or len(other.terms) < 2:
+            return out
+        (ea, ca), (eb, cb) = (next(iter(p.terms.items())) for p in (self, other))
+        return out - IntPoly(self.nvars, {tuple(map(add, ea, eb)): ca * cb})
+
+    monkeypatch.setattr(IntPoly, "__mul__", mutant)
+
+
+def _wrong_circle_rule(monkeypatch):
+    """s^2 -> c^2 - 1 in the normal form of `IntPoly.on_circles`."""
+    monkeypatch.setattr(transforms, "_sin_squared", lambda c: c * c - 1)
+
+
+def _diff_without_exponent(monkeypatch):
+    """d x^n / dx = x^(n-1): the factor n is dropped, so terms free of x
+    turn into x^-1 instead of vanishing."""
+    monkeypatch.setattr(IntPoly, "diff", lambda self, k: IntPoly(
+        self.nvars, {e[:k] + (e[k] - 1,) + e[k + 1:]: c for e, c in self.terms.items()}))
+
+
+@pytest.mark.parametrize("mutant", [_drop_a_cross_term, _wrong_circle_rule,
+                                    _diff_without_exponent],
+                         ids=["cross-term", "circle-rule", "diff-factor"])
+def test_intpoly_mutant_fails_an_exact_row(monkeypatch, mutant):
+    """IntPoly decides the euler norm, bilinear and audit rows, the trig
+    bracket, the chart transition and the angular listing; a broken
+    polynomial kernel must fail the in-process report of their suites.
+    Each failed row is an exact row read false or, where the mutant leaves
+    a negative power of a circle's sin, a suite crash on IntPoly refusing
+    the power (the diff-factor mutant fails gauge that way)."""
+    mutant(monkeypatch)
+    report = suites.run_suite(SuiteConfig(suites=("euler", "gauge", "field")))
+    failed = [r for r in report.rows if not r.passed]
+    assert failed
+    assert all(r.mode == MODE_EXACT or r.detail.startswith("ValueError: IntPoly **")
+               for r in failed)
 
 
 @pytest.mark.parametrize("seed", [20240814, 11, 7, 12345])

@@ -79,6 +79,14 @@ def test_int_poly_cancels_to_the_empty_dict():
     assert (2 * u0 - 3 + u1 * 0 - (u0 + u0 - 3)).terms == {}
 
 
+def test_int_poly_refuses_a_negative_power():
+    """A sum has no inverse in the ring; ** -1 must not come back as 1."""
+    u0, u1 = IntPoly.variables(2)
+    assert ((u0 + u1) ** 0).terms == {(0, 0): 1}
+    with pytest.raises(ValueError, match="exponent must be >= 0"):
+        (u0 + u1) ** -1
+
+
 def test_ks_fourth_row_dropped():
     """The 4x4 matrix has an identically-zero row, so the image is a 3-vector."""
     for u in ([1, 0, 0, 0], [Fraction(1, 2), Fraction(-2, 3), 3, Fraction(4, 5)]):
