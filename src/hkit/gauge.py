@@ -22,13 +22,10 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import sin
 
-import numpy as np
-
 from .errors import ChartMismatch
-from .exact import (CHART_A, CHART_B, GaussRat, Point5, R, ScalarExpr, X)
+from .exact import CHART_A, CHART_B, GaussRat, R, ScalarExpr, X
 from .operators import OperatorExpr, eps3, perm_sign
-from .transforms import (HyperSpherical, IntPoly, hyperspherical_inverse,
-                         inverse_jacobian, sphere_frame, sphere_point)
+from .transforms import HyperSpherical, IntPoly, sphere_frame, sphere_point
 
 # Antisymmetric 5x5 generator blocks, row and column 0 empty.  Entries
 # are +-i/2; the bar variant flips every entry that pairs index a with 4.
@@ -518,24 +515,6 @@ _ANGULAR_LISTING = {
     (3, "theta", "gamma"): (2, 1, "cos b"),
     (3, "beta", "gamma"): (-1, 2, "sin b"),
 }
-
-
-def cartesian_field_at(a: int, x, chart: int = CHART_A) -> np.ndarray:
-    p = Point5([float(v) for v in x])
-    F = field_tensor(a, chart)
-    out = np.zeros((5, 5))
-    for i in range(5):
-        for j in range(5):
-            if i != j:
-                out[i, j] = F[i][j].evaluate(p).real
-    return out
-
-
-def angular_field_at(a: int, h: HyperSpherical, chart: int = CHART_A) -> np.ndarray:
-    """F in (r, theta, alpha, beta, gamma) components by Jacobian pullback."""
-    x = hyperspherical_inverse(h)
-    J = np.array(inverse_jacobian(h))
-    return J @ cartesian_field_at(a, x, chart) @ J.T
 
 
 def angular_field_check() -> int:

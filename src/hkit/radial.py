@@ -535,23 +535,29 @@ class _NotAKnotSpline:
         ab[1, -1] = dx[-2]
         ab[-1, -2] = d = x[-1] - x[-3]
         b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        ds = solve_banded((1, 1), ab, b.reshape(n, 1), overwrite_ab=True,
-                          overwrite_b=True, check_finite=False).reshape(n)
-        t = (ds[:-1] + ds[1:] - 2 * slope) / dx
-        self.x = x
-        # per interval, the coefficients of s^3, s^2, s, 1 with s = x - x[i]
-        self.c = np.stack((t / dx, (slope - ds[:-1]) / dx - t, ds[:-1], y[:-1]))
+        self.x, self.y = x, y
+        self.ds = solve_banded((1, 1), ab, b.reshape(n, 1), overwrite_ab=True,
+                               overwrite_b=True, check_finite=False).reshape(n)
 
     def __call__(self, xq: np.ndarray, nu: int = 0) -> np.ndarray:
         """Value (nu = 0) or derivative nu = 1, 2 of the spline at xq.
 
         Each point is taken on the interval x[i] <= xq < x[i + 1], clamped
         to the first and last interval, so x[-1] belongs to the last one.
+        The coefficients are formed only on the intervals from the first
+        to the last one that xq touches; elementwise, they are the bits
+        that forming them on every interval would give.
         """
-        x = self.x
-        i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
+        lo, hi = int(i.min()), int(i.max()) + 2
+        i = i - lo
+        x, y, ds = self.x[lo:hi], self.y[lo:hi], self.ds[lo:hi]
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (ds[:-1] + ds[1:] - 2 * slope) / dx
+        # per interval, the coefficients of s^3, s^2, s, 1 with s = x - x[i]
+        c3, c2, c1, c0 = (t / dx)[i], ((slope - ds[:-1]) / dx - t)[i], ds[i], y[i]
         s = xq - x[i]
-        c3, c2, c1, c0 = self.c[:, i]
         if nu == 0:
             return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
         if nu == 1:
@@ -594,7 +600,7 @@ def substitution_residual_check(result: EigenResult, level: int = 0, *,
     prob = result.problem
     if prob.kind != OSCILLATOR:
         raise ValueError(f"need an oscillator eigenpair, got {prob.kind!r}")
-    if level >= result.eigenvectors.shape[1]:
+    if not 0 <= level < result.eigenvectors.shape[1]:
         raise ValueError(f"level {level} not retained")
     energy = float(result.eigenvalues[level])
     if eps is None:

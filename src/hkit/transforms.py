@@ -316,15 +316,3 @@ def sphere_frame(r, st, ct, sb, cb, sm, cm, sp, cp):
 def hyperspherical_inverse(h: HyperSpherical):
     """Cartesian point from (r, theta, alpha, beta, gamma); angles may be arrays."""
     return sphere_point(h.r, *angle_trig(h))
-
-
-def angular_jacobian(h: HyperSpherical):
-    """Rows d x_m / d (theta, beta, alpha, gamma) of the inverse map, the
-    tangent frame of the radius-r sphere; the angles may be arrays."""
-    return [[v / 2 for v in row] for row in sphere_frame(h.r, *angle_trig(h))]
-
-
-def inverse_jacobian(h: HyperSpherical):
-    """Rows d x_m / d (r, theta, alpha, beta, gamma) of the inverse map."""
-    theta, beta, alpha, gamma = angular_jacobian(h)
-    return [list(sphere_point(1.0, *angle_trig(h))), theta, alpha, beta, gamma]

@@ -1,4 +1,5 @@
-"""Shared fixtures: deterministic seeds and exact rational sample points."""
+"""Shared fixtures: deterministic seeds, exact rational sample points and
+the float Jacobians of the hyperspherical inverse map."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from hkit.exact import Point5
-from hkit.transforms import hurwitz_map
+from hkit.transforms import (HyperSpherical, angle_trig, hurwitz_map,
+                             sphere_frame, sphere_point)
 
 SEED = 20240814
 
@@ -51,3 +53,15 @@ def rational_points(count: int, seed: int = SEED, avoid_axis: bool = True):
 @pytest.fixture
 def sample_points():
     return rational_points(8)
+
+
+def angular_jacobian(h: HyperSpherical):
+    """Rows d x_m / d (theta, beta, alpha, gamma) of the inverse map, the
+    tangent frame of the radius-r sphere; the angles may be arrays."""
+    return [[v / 2 for v in row] for row in sphere_frame(h.r, *angle_trig(h))]
+
+
+def inverse_jacobian(h: HyperSpherical):
+    """Rows d x_m / d (r, theta, alpha, beta, gamma) of the inverse map."""
+    theta, beta, alpha, gamma = angular_jacobian(h)
+    return [list(sphere_point(1.0, *angle_trig(h))), theta, alpha, beta, gamma]

@@ -31,8 +31,10 @@ from hkit.gauge import (
     vector_potential,
 )
 from hkit.operators import perm_sign
-from hkit.transforms import (HyperSpherical, IntPoly, angular_jacobian,
-                             hyperspherical_inverse, sphere_frame, sphere_point)
+from hkit.transforms import (HyperSpherical, IntPoly, hyperspherical_inverse,
+                             sphere_frame, sphere_point)
+
+from conftest import angular_jacobian
 
 SEED = 20240814
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from hkit import radial
+from hkit.config import SuiteConfig
 from hkit.errors import GridTooCoarse
 from hkit.radial import (
     RadialProblem,
@@ -26,6 +28,7 @@ from hkit.radial import (
     solve_oscillator,
     substitution_residual_check,
 )
+from hkit.suites import run_radial
 
 
 # ----- closed-form ladders -----------------------------------------------------
@@ -336,6 +339,13 @@ def test_substitution_residual_detects_wrong_energy():
     assert wrong.rel_residual > 100 * clean.rel_residual
 
 
+@pytest.mark.parametrize("level", [-1, 2])
+def test_substitution_residual_rejects_a_level_not_retained(level):
+    osc = solve_oscillator(RadialProblem.oscillator(8, 0, 1.0), levels=2)
+    with pytest.raises(ValueError, match=f"level {level} not retained"):
+        substitution_residual_check(osc, level)
+
+
 def _oscillator_r_grid():
     osc = solve_oscillator(RadialProblem.oscillator(8, 0, 1.0), levels=1)
     u = osc.grid
@@ -360,6 +370,22 @@ def test_spline_matches_scipy_cubic_spline(grid):
     ref, got = CubicSpline(x, y), _NotAKnotSpline(x, y)
     mids = 0.5 * (x[:-1] + x[1:])
     query = np.concatenate((x[[0, -1]], x[1:-1:5], mids[::7]))
+    for nu in (0, 1, 2):
+        assert np.array_equal(got(query, nu), ref(query, nu))
+
+
+@pytest.mark.parametrize("grid", [_oscillator_r_grid, _seeded_grid],
+                         ids=["oscillator-r", "seeded"])
+def test_spline_on_a_window_matches_scipy_cubic_spline(grid):
+    """Queried only inside a middle sub-range, as the substitution check
+    queries it, the spline still returns CubicSpline's bits."""
+    from scipy.interpolate import CubicSpline
+
+    x, y = grid()
+    ref, got = CubicSpline(x, y), _NotAKnotSpline(x, y)
+    lo, hi = x.size // 3, 2 * x.size // 3
+    mids = 0.5 * (x[lo:hi - 1] + x[lo + 1:hi])
+    query = np.sort(np.concatenate((x[lo:hi:3], mids[::5])))
     for nu in (0, 1, 2):
         assert np.array_equal(got(query, nu), ref(query, nu))
 
@@ -400,6 +426,26 @@ def test_modified_pilot_guess_below_the_well():
     ref = (8.105609361737505, 14.527236065297418, 21.63337471471846)
     for got, want in zip(res.eigenvalues, ref):
         assert float(got) == pytest.approx(want, rel=1e-9)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_radial_suite_holds_one_fine_solve_at_a_time():
+    """The radial suite's heap peak is that of one fine-grid solve: each
+    solve's result is used up before the next solve starts, and the
+    substitution check's spline stays below a solve."""
+    prob = RadialProblem.oscillator(8, 0, 1.0)
+    solve_oscillator(prob, levels=3)  # imports scipy.linalg outside the trace
+    one_solve = _traced_peak(lambda: solve_oscillator(prob, levels=3))
+    suite = _traced_peak(lambda: run_radial(SuiteConfig()))
+    assert suite <= 1.25 * one_solve
 
 
 def test_radial_runtime_budget():

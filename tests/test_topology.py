@@ -9,8 +9,8 @@ from math import pi
 import numpy as np
 import pytest
 
-from hkit.exact import CHART_A, CHART_B
-from hkit.gauge import Y_ANGULAR, angular_field_at, sqrt_det_metric_closed
+from hkit.exact import CHART_A, CHART_B, Point5
+from hkit.gauge import Y_ANGULAR, field_tensor, sqrt_det_metric_closed
 from hkit.operators import perm_sign
 from hkit.topology import (
     EXACT_NODES,
@@ -18,7 +18,9 @@ from hkit.topology import (
     QuadratureSpec,
     topological_charge,
 )
-from hkit.transforms import HyperSpherical, angular_jacobian
+from hkit.transforms import HyperSpherical, hyperspherical_inverse
+
+from conftest import angular_jacobian, inverse_jacobian
 
 
 def test_unit_charge():
@@ -71,7 +73,7 @@ def test_result_fields():
 
 # ----- the facts behind the exactness counts ---------------------------------
 
-# Where angular_field_at puts each coordinate.
+# Where _angular_field_at puts each coordinate.
 _XBAR_INDEX = {"r": 0, "theta": 1, "alpha": 2, "beta": 3, "gamma": 4}
 
 
@@ -85,6 +87,16 @@ def _random_points(n, seed):
             beta=rng.uniform(0.3, pi - 0.3),
             gamma=rng.uniform(0.1, 4 * pi - 0.1),
         )
+
+
+def _angular_field_at(a, h, chart=CHART_A):
+    """F in (r, theta, alpha, beta, gamma) components by Jacobian pullback."""
+    p = Point5([float(v) for v in hyperspherical_inverse(h)])
+    F = field_tensor(a, chart)
+    cartesian = np.array([[F[i][j].evaluate(p).real if i != j else 0.0
+                           for j in range(5)] for i in range(5)])
+    J = np.array(inverse_jacobian(h))
+    return J @ cartesian @ J.T
 
 
 def _sqrt_det_metric(h):
@@ -103,7 +115,7 @@ def _charge_density(h, chart=CHART_A):
     rows = [_XBAR_INDEX[c] for c in Y_ANGULAR]
     total = 0.0
     for a in (1, 2, 3):
-        Fb = angular_field_at(a, h, chart)[np.ix_(rows, rows)]
+        Fb = _angular_field_at(a, h, chart)[np.ix_(rows, rows)]
         dual_up = np.einsum("mnrs,rs->mn", eps, Fb) / (2 * _sqrt_det_metric(h))
         total += float(np.einsum("mn,mn->", dual_up, Fb))
     return total

@@ -22,12 +22,13 @@ from hkit.transforms import (
     hurwitz_map,
     hyperspherical,
     hyperspherical_inverse,
-    inverse_jacobian,
     kustaanheimo_stiefel_map,
     levi_civita_map,
     matrix_vs_map_audit,
     space_angles,
 )
+
+from conftest import inverse_jacobian
 
 rational = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
