@@ -14,11 +14,10 @@ diff-friendly and need no extra dependency:
     e2 = 1
 
     [tolerances]
-    charge = 1e-10
+    charge_refinement = 1e-12
 
     [grids]
     charge_nodes = 16, 16, 8, 8
-    charge_radius = 1.0
     n_points = 4096
 
 Precedence: built-in defaults < config file < HKIT_SEED environment
@@ -28,7 +27,6 @@ variable (seed only) < explicit overrides from command-line flags.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +37,6 @@ SUITES = ("euler", "gauge", "field", "charge", "algebra", "casimir",
           "spectrum", "radial")
 
 DEFAULT_TOLERANCES = {
-    "charge": 1e-10,
     "charge_refinement": 1e-12,
     "round_trip": 1e-12,
     "casimir_numeric": 1e-8,
@@ -55,7 +52,7 @@ ENV_SEED = "HKIT_SEED"
 _SECTION_KEYS = {
     "run": {"suites", "seed", "jobs"},
     "units": {"hbar", "mu0", "e2"},
-    "grids": {"charge_nodes", "charge_radius", "n_points"},
+    "grids": {"charge_nodes", "n_points"},
 }
 
 
@@ -68,7 +65,6 @@ class SuiteConfig:
     e2: Fraction = Fraction(1)
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     charge_nodes: tuple[int, int, int, int] = (16, 16, 8, 8)
-    charge_radius: float = 1.0
     n_points: int = 4096
     jobs: int = 1
 
@@ -82,8 +78,6 @@ class SuiteConfig:
             raise ConfigError(f"n_points must be at least 64, got {self.n_points}")
         if len(self.charge_nodes) != 4 or any(n < 1 for n in self.charge_nodes):
             raise ConfigError(f"charge_nodes needs four counts >= 1, got {self.charge_nodes}")
-        if not 0 < self.charge_radius < math.inf:
-            raise ConfigError(f"charge_radius must be finite and > 0, got {self.charge_radius}")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {name!r}")
@@ -172,12 +166,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
             if "charge_nodes" in grids:
                 values["charge_nodes"] = tuple(
                     _parse_int(t, "charge_nodes") for t in grids["charge_nodes"].split(","))
-            if "charge_radius" in grids:
-                try:
-                    values["charge_radius"] = float(grids["charge_radius"])
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"cannot parse charge_radius = {grids['charge_radius']!r}") from exc
             if "n_points" in grids:
                 values["n_points"] = _parse_int(grids["n_points"], "n_points")
 
@@ -203,7 +191,6 @@ def config_echo(cfg: SuiteConfig) -> dict:
         "units": {"hbar": str(cfg.hbar), "mu0": str(cfg.mu0), "e2": str(cfg.e2)},
         "tolerances": {k: cfg.tolerances[k] for k in sorted(cfg.tolerances)},
         "charge_nodes": list(cfg.charge_nodes),
-        "charge_radius": cfg.charge_radius,
         "n_points": cfg.n_points,
         "jobs": cfg.jobs,
     }

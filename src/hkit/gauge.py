@@ -12,20 +12,18 @@ Every check here is exact: the potential and field identities over the
 localized radius ring (self-duality among them, in a Cartesian form that
 needs no metric), and the trig realization of the generators, the patch
 transition and the angular form of the field as trig polynomials on
-transforms.IntPoly.  The closed volume factor sqrt_det_metric_closed, which
-the charge quadrature's exact node counts rest on, is proved in tests.
+transforms.IntPoly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from math import sin
 
 from .errors import ChartMismatch
 from .exact import CHART_A, CHART_B, GaussRat, R, ScalarExpr, X
 from .operators import OperatorExpr, eps3, perm_sign
-from .transforms import HyperSpherical, IntPoly, sphere_frame, sphere_point
+from .transforms import IntPoly, sphere_frame, sphere_point
 
 # Antisymmetric 5x5 generator blocks, row and column 0 empty.  Entries
 # are +-i/2; the bar variant flips every entry that pairs index a with 4.
@@ -517,6 +515,17 @@ _ANGULAR_LISTING = {
 }
 
 
+def listed_component(a: int, m: str, n: str, st, factor):
+    """4 F^a_mn of the angular listing, m before n in ("r",) + Y_ANGULAR:
+    k sin^p(theta) times its factors, from sin(theta) and the map from
+    factor names to values.  The values may be IntPolys or numpy arrays."""
+    k, p, *factors = _ANGULAR_LISTING.get((a, m, n), (0, 0))
+    out = st ** p * k
+    for f in factors:
+        out = out * factor[f]
+    return out
+
+
 def angular_field_check() -> int:
     """How many of the 30 components F^a_mn, m < n, of the pulled-back
     first-patch field differ from the angular listing, as trig polynomials.
@@ -544,18 +553,8 @@ def angular_field_check() -> int:
     for a in (1, 2, 3):
         Fa = [_pulled_back(F[a][i][j], x, lift, clear) for i, j in pairs]
         for m, n in pairs:
-            k, p, *factors = _ANGULAR_LISTING.get((a, names[m], names[n]), (0, 0))
-            res = st ** p * lift ** clear * -k
-            for f in factors:
-                res = res * factor[f]
+            res = -listed_component(a, names[m], names[n], st, factor) * lift ** clear
             for f, w in zip(Fa, minors[m, n]):
                 res = res + f * w
             nonzero += bool(res.on_circles(_CIRCLES).terms)
     return nonzero
-
-
-# ----- volume factor -------------------------------------------------------------
-
-def sqrt_det_metric_closed(h: HyperSpherical) -> float:
-    """r^4 sin^3(theta) sin(beta) / 8, the closed form of the volume factor."""
-    return h.r ** 4 * sin(h.theta) ** 3 * sin(h.beta) / 8

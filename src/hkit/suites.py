@@ -74,7 +74,7 @@ from .symmetry import (
     casimir_check,
     verify_relation,
 )
-from .topology import EXACT_NODES, QuadratureSpec, topological_charge
+from .topology import charge_components, listing_quadrature
 from .transforms import (
     HyperSpherical,
     IntPoly,
@@ -220,27 +220,31 @@ def run_field(cfg: SuiteConfig) -> list[CheckReport]:
 # ----- charge ---------------------------------------------------------------
 
 def run_charge(cfg: SuiteConfig) -> list[CheckReport]:
-    spec = QuadratureSpec(cfg.charge_nodes, cfg.charge_radius)
-    res = topological_charge(spec)
-    tol = cfg.tolerances["charge"]
-    tol2 = cfg.tolerances["charge_refinement"]
-    rows = [
-        _numeric("charge", "total", "q = +1", abs(res.total - 1.0), tol,
-                 f"nodes {res.nodes}, radius {res.radius}"),
-        _numeric("charge", "components", "q^a = 1/3 for each generator",
-                 max(abs(c - 1.0 / 3.0) for c in res.components), tol),
+    # The integrand is the angular listing, so each exact row holds only
+    # when this run proves the listing too.
+    differ = angular_field_check()
+    chain = ("angular listing proved (field/angular-listing), then integrated "
+             "exactly by the Wallis rules" if not differ else
+             f"angular listing not proved: {differ} of 30 components differ")
+    q = charge_components()
+    quad = listing_quadrature(cfg.charge_nodes)
+    return [
+        _exact("charge", "total", "q = +1", not differ and sum(q) == 1,
+               f"q = {sum(q)}; {chain}"),
+        _exact("charge", "components", "q^a = 1/3 for each generator",
+               not differ and all(c == Fraction(1, 3) for c in q),
+               f"q^a = {', '.join(map(str, q))}; {chain}"),
         _numeric("charge", "node-doubling",
                  "raising node counts to the exact counts leaves q unchanged",
-                 res.estimated_error, tol2,
-                 f"truncation estimate, exact at >= "
-                 f"({','.join(map(str, EXACT_NODES))}) nodes"),
+                 max(abs(Q - c) for Q, c in zip(quad, q)),
+                 cfg.tolerances["charge_refinement"],
+                 f"nodes {cfg.charge_nodes}: the Gauss-Legendre x midpoint sum "
+                 f"of the listed density against the exact q^a, its measured "
+                 f"truncation plus rounding defect"),
+        _exact("charge", "radius-independence",
+               "doubling the sphere radius leaves q unchanged", not differ,
+               f"the listing was proved with r a variable and has no r; {chain}"),
     ]
-    res2 = topological_charge(QuadratureSpec(cfg.charge_nodes,
-                                             2.0 * cfg.charge_radius))
-    rows.append(_numeric("charge", "radius-independence",
-                         "doubling the sphere radius leaves q unchanged",
-                         abs(res2.total - res.total), tol2))
-    return rows
 
 
 # ----- algebra --------------------------------------------------------------

@@ -232,18 +232,19 @@ def _grids(tmp_path, body):
 
 
 def test_verify_charge_flags(capsys, tmp_path):
-    config = _grids(tmp_path, "charge_nodes = 8,8,6,6\ncharge_radius = 2.0\n")
+    config = _grids(tmp_path, "charge_nodes = 8,8,6,6\n")
     code, out, _ = run(capsys, "report", "--suites", "charge",
                        "--config", config)
     doc = json.loads(out)
     assert doc["config"]["charge_nodes"] == [8, 8, 6, 6]
-    assert doc["config"]["charge_radius"] == 2.0
+    assert "charge_radius" not in doc["config"]
     assert code == 0
 
 
 def test_verify_charge_below_exact_nodes_reports_truncation(capsys, tmp_path):
-    """One theta node is below EXACT_NODES: the run completes, and the
-    node-doubling row carries a nonzero truncation estimate and fails."""
+    """One theta node integrates sin^2(theta) as 1, not 2/3: the run
+    completes, and the node-doubling row carries the nonzero truncation
+    defect and fails."""
     config = _grids(tmp_path, "charge_nodes = 1,16,8,8\n")
     code, out, _ = run(capsys, "report", "--suites", "charge",
                        "--config", config)
@@ -257,8 +258,9 @@ def test_verify_charge_below_exact_nodes_reports_truncation(capsys, tmp_path):
 
 @pytest.mark.parametrize("radius", ["inf", "nan"])
 def test_non_finite_charge_radius_exits_2(capsys, tmp_path, radius):
-    """A radius that would put Infinity or NaN into the JSON report is
-    rejected before any suite runs."""
+    """No row reads a sphere radius, as the exact charge rows have none:
+    [grids] charge_radius is an unknown key whatever its value, and the run
+    stops before any suite."""
     config = _grids(tmp_path, f"charge_radius = {radius}\n")
     code, out, err = run(capsys, "report", "--suites", "charge",
                          "--config", config)
@@ -309,6 +311,8 @@ def test_missing_config_file(capsys):
     ("[tolerances]\nangular_table = 1e-10\n", "unknown tolerance 'angular_table'"),
     ("[tolerances]\ngauge_transform = 1e-10\n",
      "unknown tolerance 'gauge_transform'"),
+    ("[tolerances]\ncharge = 1e-10\n", "unknown tolerance 'charge'"),
+    ("[grids]\ncharge_radius = 1\n", "charge_radius"),
 ])
 def test_unknown_config_key(capsys, tmp_path, body, key):
     path = tmp_path / "run.ini"

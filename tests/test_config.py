@@ -28,7 +28,6 @@ def test_defaults():
     assert cfg.hbar == 1 and cfg.mu0 == 1 and cfg.e2 == 1
     assert cfg.tolerances == DEFAULT_TOLERANCES
     assert cfg.charge_nodes == (16, 16, 8, 8)
-    assert cfg.charge_radius == 1.0
     assert cfg.jobs == 1
 
 
@@ -47,9 +46,8 @@ def test_file_parsing(tmp_path):
     path.write_text(
         "[run]\nsuites = charge, euler\nseed = 7\njobs = 2\n"
         "[units]\nhbar = 2\nmu0 = 3/2\ne2 = 1/4\n"
-        "[tolerances]\ncharge = 1e-9\n"
-        "[grids]\ncharge_nodes = 8, 8, 4, 4\ncharge_radius = 2.5\n"
-        "n_points = 128\n")
+        "[tolerances]\ncharge_refinement = 1e-9\n"
+        "[grids]\ncharge_nodes = 8, 8, 4, 4\nn_points = 128\n")
     cfg = load_config(str(path))
     assert cfg.suites == ("euler", "charge")
     assert cfg.seed == 7
@@ -57,10 +55,9 @@ def test_file_parsing(tmp_path):
     assert cfg.hbar == 2
     assert cfg.mu0 == Fraction(3, 2)
     assert cfg.e2 == Fraction(1, 4)
-    assert cfg.tolerances["charge"] == 1e-9
+    assert cfg.tolerances["charge_refinement"] == 1e-9
     assert cfg.tolerances["round_trip"] == 1e-12  # untouched default
     assert cfg.charge_nodes == (8, 8, 4, 4)
-    assert cfg.charge_radius == 2.5
     assert cfg.n_points == 128
 
 
@@ -131,14 +128,14 @@ def test_unknown_override_key():
     {"mu0": Fraction(0)},
     {"charge_nodes": (16, 16, 8)},
     {"charge_nodes": (16, 16, 8, 0)},
-    {"charge_radius": 0.0},
-    {"tolerances": {"charge": 1e-10, "mystery": 1e-3}},
-    {"tolerances": {"charge": 2.0}},
+    {"tolerances": {"charge": 1e-10}},
+    {"tolerances": {"charge_refinement": 1e-12, "mystery": 1e-3}},
+    {"tolerances": {"charge_refinement": 2.0}},
     {"hbar": Fraction(0)},
     {"e2": Fraction(-1)},
     {"suites": ("nope",)},
-    {"charge_radius": float("inf")},
-    {"charge_radius": float("nan")},
+    {"tolerances": {"charge_refinement": float("nan")}},
+    {"charge_nodes": (0, 16, 8, 8)},
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
@@ -153,4 +150,4 @@ def test_config_echo_is_json_ready():
     assert back["charge_nodes"] == [16, 16, 8, 8]
     assert list(back["tolerances"]) == sorted(DEFAULT_TOLERANCES)
     assert set(back) == {"suites", "seed", "units", "tolerances", "charge_nodes",
-                         "charge_radius", "n_points", "jobs"}
+                         "n_points", "jobs"}

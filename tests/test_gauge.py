@@ -24,7 +24,6 @@ from hkit.gauge import (
     potential_reproduction_check,
     potential_transversality_check,
     self_duality_check,
-    sqrt_det_metric_closed,
     su2_trig_generators_check,
     tau_eps_identity_check,
     tau_product_check,
@@ -34,7 +33,7 @@ from hkit.operators import perm_sign
 from hkit.transforms import (HyperSpherical, IntPoly, hyperspherical_inverse,
                              sphere_frame, sphere_point)
 
-from conftest import angular_jacobian
+from conftest import angular_jacobian, sqrt_det_metric_closed
 
 SEED = 20240814
 

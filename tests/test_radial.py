@@ -29,6 +29,7 @@ from hkit.radial import (
     substitution_residual_check,
 )
 from hkit.suites import run_radial
+from hkit.transforms import IntPoly
 
 
 # ----- closed-form ladders -----------------------------------------------------
@@ -304,6 +305,45 @@ def test_duality_map_rejects_unknown_direction():
     osc = solve_oscillator(RadialProblem.oscillator(8, 0, 1.0), levels=1)
     with pytest.raises(ValueError):
         duality_map(osc, direction="sideways")
+
+
+# The radial operators with 8 m u^2 cleared, in (u, D, L, m, hbar, omega, E,
+# rho0, rho1, rho2); rho_k stands for the k-th derivative of rho at u^2.
+_U, _D, _L, _M, _HBAR, _W, _E, _R0, _R1, _R2 = IntPoly.variables(10)
+
+
+def _oscillator_cleared(R, dR, ddR):
+    """8 m u^2 O_D[R], O_D = -(hbar^2 / 2m) (R'' + (D - 1) R' / u
+    - L (L + D - 2) R / u^2) + m w^2 u^2 R / 2 - E R."""
+    u = _U
+    return (-4 * _HBAR ** 2 * (u ** 2 * ddR + (_D - 1) * u * dR
+                               - _L * (_L + _D - 2) * R)
+            + 4 * _M ** 2 * _W ** 2 * u ** 4 * R - 8 * _M * _E * u ** 2 * R)
+
+
+def _coulomb_cleared(d2, l2, e4, eps8):
+    """8 m u^2 4 u^2 C_d[rho] at r = u^2, C_d = -(hbar^2 / 2m) (rho''
+    + (d - 1) rho' / r - l (l + d - 2) rho / r^2) - e2 rho / r - eps rho,
+    given 2d, 2l, 4 e2 and 8 eps."""
+    u = _U
+    return (-4 * _HBAR ** 2 * (4 * u ** 4 * _R2 + (2 * d2 - 4) * u ** 2 * _R1
+                               - l2 * (l2 + d2 - 4) * _R0)
+            - 8 * _M * e4 * u ** 2 * _R0 - 4 * _M * eps8 * u ** 4 * _R0)
+
+
+def test_duality_is_an_exact_operator_identity():
+    """O_D[rho(u^2)] = 4 u^2 C_d[rho](u^2) for every rho, D and L, with the
+    constants of `duality_map`: d = D/2 + 1, l = L/2, e2 = E/4 and
+    eps = -m w^2 / 8.  rho(u^2)' = 2 u rho1 and rho(u^2)'' = 2 rho1
+    + 4 u^2 rho2; D and L are variables, so this covers D = 1, 2, 4, 8 and
+    every L at once."""
+    lhs = _oscillator_cleared(_R0, 2 * _U * _R1, 2 * _R1 + 4 * _U ** 2 * _R2)
+    mw2 = _M * _W ** 2
+    assert lhs == _coulomb_cleared(_D + 2, _L, _E, -mw2)
+    # Each wrong constant leaves a residual: d = D/2, l = L, e2 = E/2.
+    for wrong in ((_D, _L, _E, -mw2), (_D + 2, 2 * _L, _E, -mw2),
+                  (_D + 2, _L, 2 * _E, -mw2)):
+        assert (lhs - _coulomb_cleared(*wrong)).terms
 
 
 def test_duality_scan_script_runs(capsys):

@@ -17,7 +17,7 @@ import pytest
 
 from hkit import suites, symmetry, transforms
 from hkit.cli import main
-from hkit.config import DEFAULT_TOLERANCES, SUITES, SuiteConfig
+from hkit.config import _SECTION_KEYS, DEFAULT_TOLERANCES, SUITES, SuiteConfig
 from hkit.operators import OperatorExpr
 from hkit.report import MODE_EXACT, MODE_NUMERIC, CheckReport, to_json
 from hkit.transforms import IntPoly
@@ -37,8 +37,9 @@ def test_suite_names_have_one_source_of_truth():
 
 
 def test_every_tolerance_is_read_by_a_suite():
-    """The runners read exactly the keys of DEFAULT_TOLERANCES, so a retired
-    check cannot leave its tolerance behind."""
+    """The runners read exactly the keys of DEFAULT_TOLERANCES and the
+    [grids] keys, so a retired check cannot leave its tolerance or its grid
+    behind."""
     read = set()
 
     class Recording(dict):
@@ -46,10 +47,17 @@ def test_every_tolerance_is_read_by_a_suite():
             read.add(key)
             return super().__getitem__(key)
 
-    cfg = SuiteConfig(tolerances=Recording(DEFAULT_TOLERANCES))
+    class RecordingGrids(SuiteConfig):
+        def __getattribute__(self, name):
+            if name in _SECTION_KEYS["grids"]:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    cfg = RecordingGrids(tolerances=Recording(DEFAULT_TOLERANCES))
+    read.clear()  # validation reads every grid
     for runner in suites.SUITE_RUNNERS.values():
         runner(cfg)
-    assert read == set(DEFAULT_TOLERANCES)
+    assert read == set(DEFAULT_TOLERANCES) | _SECTION_KEYS["grids"]
 
 
 def test_jobs_2_rows_equal_jobs_1():
