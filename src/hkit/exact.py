@@ -20,10 +20,11 @@ The zero test, the derivative and operator composition work on term
 tables: flat numpy arrays of packed term keys (see ``pack_key``) and
 Gaussian-integer numerators over one common denominator, many expressions
 ("segments") at once, so no GaussRat is built per intermediate term.
-``ScalarExpr.diff`` and ``ScalarExpr.is_zero`` are the one-segment cases
-of ``diff_terms`` and ``nonzero_segments``.  Numerators are int64 where an
-l1 bound proves every value a kernel forms stays below 2^62, and Python
-ints otherwise (see "term tables" below).
+``ScalarExpr.diff`` is the one-segment case of ``diff_terms``, and
+``OperatorExpr.is_zero`` tests all of an operator's coefficients in one
+``nonzero_segments`` call.  Numerators are int64 where an l1 bound proves
+every value a kernel forms stays below 2^62, and Python ints otherwise
+(see "term tables" below).
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ChartMismatch, ExponentRange, SingularPoint
+from .errors import ChartMismatch, ExponentRange
 
 Mono = tuple[int, int, int, int, int]
 TermKey = tuple[Mono, int, int]
@@ -131,9 +132,6 @@ class GaussRat:
             self.d * other.d,
         )
 
-    def __rsub__(self, other):
-        return GaussRat.coerce(other).__sub__(self)
-
     def __mul__(self, other):
         if isinstance(other, GaussRat):
             return GaussRat._make(
@@ -152,26 +150,8 @@ class GaussRat:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "GaussRat":
-        n = self.a * self.a + self.b * self.b
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero GaussRat")
-        return GaussRat._make(self.d * self.a, -self.d * self.b, n)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat.coerce(other)
-        return self * other.inverse()
-
     def to_complex(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{Fraction(self.a, self.d)}"
-        if self.a == 0:
-            return f"{Fraction(self.b, self.d)}*i"
-        return f"({Fraction(self.a, self.d)}{'+' if self.b > 0 else '-'}{abs(Fraction(self.b, self.d))}*i)"
 
 
 GR_ZERO = GaussRat(0)
@@ -187,42 +167,6 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     if sn * sn == q.numerator and sd * sd == q.denominator:
         return Fraction(sn, sd)
     return None
-
-
-class Point5:
-    """A point of R^5, exact (all Fractions) or floating."""
-
-    __slots__ = ("xs", "exact")
-
-    def __init__(self, xs: Iterable):
-        vals = tuple(xs)
-        if len(vals) != 5:
-            raise ValueError("Point5 needs exactly five coordinates")
-        if all(isinstance(v, (int, Fraction)) for v in vals):
-            self.xs = tuple(Fraction(v) for v in vals)
-            self.exact = True
-        else:
-            self.xs = tuple(float(v) for v in vals)
-            self.exact = False
-
-    def r_squared(self):
-        return sum(v * v for v in self.xs)
-
-    def radius(self):
-        """The radius; a Fraction when exact and a perfect square, else float."""
-        r2 = self.r_squared()
-        if self.exact:
-            rt = rational_sqrt(r2)
-            if rt is not None:
-                return rt
-            return float(r2) ** 0.5
-        return r2 ** 0.5
-
-    def __iter__(self) -> Iterator:
-        return iter(self.xs)
-
-    def __repr__(self):
-        return f"Point5({list(self.xs)})"
 
 
 def _join_chart(c1: int, c2: int) -> int:
@@ -529,8 +473,8 @@ class ScalarExpr:
     The constructor takes ownership of ``terms`` and stores them as given,
     so callers pass a dict built for this expression, without zero
     coefficients, and do not touch it afterwards.  No relation is applied:
-    one value may be stored as different term sets, and only ``is_zero``
-    (hence ``equals``) decides equality in the ring.
+    one value may be stored as different term sets: == compares the terms,
+    and only the zero test ``nonzero_segments`` decides equality in the ring.
     """
 
     __slots__ = ("_t", "chart", "_hash", "_dcache")
@@ -651,9 +595,6 @@ class ScalarExpr:
             return NotImplemented
         return self.__add__(other.__neg__())
 
-    def __rsub__(self, other):
-        return self.__neg__().__add__(ScalarExpr.const(other))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             c = GaussRat.coerce(other)
@@ -681,18 +622,6 @@ class ScalarExpr:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined on expressions")
-        out = ScalarExpr.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     # ----- calculus -----------------------------------------------------
 
     def diff(self, i: int) -> "ScalarExpr":
@@ -708,35 +637,7 @@ class ScalarExpr:
         self._dcache[i] = out
         return out
 
-    def multi_diff(self, gamma: tuple[int, ...]) -> "ScalarExpr":
-        """Iterated derivative d^gamma, cached per instance."""
-        key = tuple(gamma)
-        cached = self._dcache.get(key)
-        if cached is not None:
-            return cached
-        out = self
-        for i, n in enumerate(key):
-            for _ in range(n):
-                out = out.diff(i)
-                if out.is_structural_zero():
-                    break
-        self._dcache[key] = out
-        return out
-
-    # ----- equality -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        """Exact zero test: the one-segment case of ``nonzero_segments``."""
-        _, tk, re, im = self.arrays()
-        s = self.chart if self.chart else CHART_A
-        seg = np.zeros(tk.size, dtype=np.int64)
-        return not nonzero_segments(seg, tk, re, im, seg + s).size
-
-    def equals(self, other) -> bool:
-        """Mathematical equality (structural __eq__ is deliberately separate)."""
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = ScalarExpr.const(other)
-        return (self - other).is_zero()
+    # ----- structural equality ------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ScalarExpr):
@@ -747,69 +648,6 @@ class ScalarExpr:
         if self._hash is None:
             self._hash = hash((self.chart, frozenset(self._t.items())))
         return self._hash
-
-    # ----- evaluation ---------------------------------------------------
-
-    def evaluate(self, p: Point5):
-        """Exact value (GaussRat) at an exact point with rational radius,
-        complex otherwise."""
-        if p.exact:
-            r2 = p.r_squared()
-            r = rational_sqrt(r2)
-            if r is not None:
-                return self._evaluate(p.xs, r, Fraction, lambda c: c)
-            xs, r = tuple(float(v) for v in p.xs), float(r2) ** 0.5
-        else:
-            xs, r = p.xs, p.r_squared() ** 0.5
-        return self._evaluate(xs, r, float, GaussRat.to_complex)
-
-    def _evaluate(self, xs, r, real, coeff):
-        """Sum of coeff(c) x^m r^rp axis^ap, the factors built in type real:
-        Fraction with coeff the identity, or float with GaussRat.to_complex."""
-        s = self.chart if self.chart else CHART_A
-        axis = r + s * xs[0]
-        total = coeff(GR_ZERO)
-        for (m, rp, ap), c in self._t.items():
-            if (rp < 0 and r == 0) or (ap < 0 and axis == 0):
-                raise SingularPoint(f"zero denominator at {tuple(xs)}")
-            f = real(1)
-            for xi, mi in zip(xs, m):
-                if mi:
-                    f *= xi ** mi
-            if rp:
-                f *= r ** rp
-            if ap:
-                f *= axis ** ap
-            total = total + coeff(c) * f
-        return total
-
-    # ----- display ------------------------------------------------------
-
-    def __repr__(self):
-        if not self._t:
-            return "0"
-        s = self.chart if self.chart else CHART_A
-        axis = "(r+x0)" if s == CHART_A else "(r-x0)"
-        parts = []
-        for (m, rp, ap) in sorted(self._t, reverse=True):
-            c = self._t[(m, rp, ap)]
-            factors = []
-            for i, mi in enumerate(m):
-                if mi == 1:
-                    factors.append(f"x{i}")
-                elif mi > 1:
-                    factors.append(f"x{i}^{mi}")
-            if rp == 1:
-                factors.append("r")
-            elif rp:
-                factors.append(f"r^{rp}")
-            if ap == 1:
-                factors.append(axis)
-            elif ap:
-                factors.append(f"{axis}^{ap}")
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"({c!r})*{body}")
-        return " + ".join(parts)
 
 
 _SE_ZERO = ScalarExpr({}, CHART_NONE)

@@ -61,36 +61,34 @@ def _delta_bar(i: int, k: int) -> int:
     return (1 if i == k else 0) - (1 if i == 0 and k == 0 else 0)
 
 
-def tau_product_check(tau=None) -> bool:
+def tau_product_check() -> bool:
     """4 t^a_ij t^b_jk = delta_ab (delta_ik - delta_i0 delta_k0)
     + 2i eps_abc t^c_ik, checked entrywise."""
-    tau = TAU if tau is None else tau
     for a, b, i, k in product((1, 2, 3), (1, 2, 3), range(5), range(5)):
-        lhs = sum((tau[a][i][j] * tau[b][j][k] for j in range(5)), GaussRat(0)) * 4
+        lhs = sum((TAU[a][i][j] * TAU[b][j][k] for j in range(5)), GaussRat(0)) * 4
         rhs = GaussRat(_delta_bar(i, k)) if a == b else GaussRat(0)
         for c in (1, 2, 3):
             e = eps3(a, b, c)
             if e:
-                rhs = rhs + tau[c][i][k] * GaussRat(0, 2 * e)
+                rhs = rhs + TAU[c][i][k] * GaussRat(0, 2 * e)
         if lhs != rhs:
             return False
     return True
 
 
-def tau_eps_identity_check(tau=None) -> bool:
+def tau_eps_identity_check() -> bool:
     """eps_abc t^b_ij t^c_km as a four-fold delta/tau combination."""
-    tau = TAU if tau is None else tau
     for a, i, j, k, m in product((1, 2, 3), *[range(5)] * 4):
         lhs = GaussRat(0)
         for b, c in product((1, 2, 3), repeat=2):
             e = eps3(a, b, c)
             if e:
-                lhs = lhs + tau[b][i][j] * tau[c][k][m] * e
+                lhs = lhs + TAU[b][i][j] * TAU[c][k][m] * e
         rhs = (
-            tau[a][j][m] * (-_delta_bar(i, k))
-            - tau[a][j][k] * (-_delta_bar(i, m))
-            + tau[a][i][k] * (-_delta_bar(j, m))
-            - tau[a][i][m] * (-_delta_bar(j, k))
+            TAU[a][j][m] * (-_delta_bar(i, k))
+            - TAU[a][j][k] * (-_delta_bar(i, m))
+            + TAU[a][i][k] * (-_delta_bar(j, m))
+            - TAU[a][i][m] * (-_delta_bar(j, k))
         ) * _HALF_I
         if lhs != rhs:
             return False

@@ -1,9 +1,9 @@
 """Small exact matrices over the Gaussian rationals.
 
 Matrices are tuples of tuples of GaussRat, so == compares them entry by
-entry.  Only what the word oracle of `operators` and the spin-1/2 tests
-require: products, differences, scaling, commutators.  `hkit report`
-reaches them through `operators.word_matrix`.
+entry.  Only what the word oracle of `operators` requires: products,
+scaling and the spin-1/2 generators.  `hkit report` reaches them through
+`operators.word_matrix`.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ def mmul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def msub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mscale(c, a: Mat) -> Mat:
     c = GaussRat.coerce(c) if not isinstance(c, GaussRat) else c
     return tuple(tuple(c * x for x in row) for row in a)
@@ -42,10 +38,6 @@ def meye(n: int) -> Mat:
         tuple(GR_ONE if i == j else GR_ZERO for j in range(n))
         for i in range(n)
     )
-
-
-def commutator(a: Mat, b: Mat) -> Mat:
-    return msub(mmul(a, b), mmul(b, a))
 
 
 PAULI: dict[int, Mat] = {

@@ -18,7 +18,6 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from .errors import SingularPoint
-from .exact import Point5, ScalarExpr
 
 
 def _multi_indices(order: int, nvars: int = 5) -> np.ndarray:
@@ -54,21 +53,38 @@ class _JetSpace:
         self.pos = {g: i for i, g in enumerate(self.indices)}
         self.dim = len(self.indices)
         self._base = (order + 1) ** np.arange(5)
-        code = (grid * self._base).sum(axis=1)
+        self._code = (grid * self._base).sum(axis=1)
+        self._deg = grid.sum(axis=1)
         self._lookup = np.full((order + 1) ** 5, self.dim)  # dim: not in space
-        self._lookup[code] = np.arange(self.dim)
-        deg = grid.sum(axis=1)
-        up_to = np.searchsorted(deg, np.arange(order + 1), side="right")
-        counts = up_to[order - deg]
-        self.ia = np.repeat(np.arange(self.dim), counts)
-        self.ib = np.arange(len(self.ia)) - np.repeat(
-            np.cumsum(counts) - counts, counts)
-        self.ic = self._lookup[code[self.ia] + code[self.ib]]
-        start = np.concatenate([[0], up_to[:-1]])
-        self.blocks = [(int(start[k]), int(up_to[k]), int(up_to[order - k]))
-                       for k in range(order + 1)]
+        self._lookup[self._code] = np.arange(self.dim)
         fact = np.array([factorial(k) for k in range(order + 1)], dtype=float)
         self.fact = fact[grid].prod(axis=1)
+
+    # The product table is made on first use: orders whose jets are only
+    # located and shifted (`shift_table`) never multiply.
+
+    @cached_property
+    def _up_to(self) -> np.ndarray:
+        """The number of entries of degree at most k, for each k."""
+        return np.searchsorted(self._deg, np.arange(self.order + 1), side="right")
+
+    @cached_property
+    def ia(self) -> np.ndarray:
+        return np.repeat(np.arange(self.dim), self._up_to[self.order - self._deg])
+
+    @cached_property
+    def ib(self) -> np.ndarray:
+        return np.arange(self.ia.size) - np.searchsorted(self.ia, self.ia)
+
+    @cached_property
+    def ic(self) -> np.ndarray:
+        return self._lookup[self._code[self.ia] + self._code[self.ib]]
+
+    @cached_property
+    def blocks(self) -> list[tuple[int, int, int]]:
+        start = np.concatenate([[0], self._up_to[:-1]])
+        return [(int(start[k]), int(self._up_to[k]), int(self._up_to[self.order - k]))
+                for k in range(self.order + 1)]
 
     def locate(self, grid: np.ndarray) -> np.ndarray:
         """Positions of the rows of an array of multi-indices in this space."""
@@ -140,12 +156,13 @@ def _binom_frac(q: Fraction, n: int) -> float:
 
 
 class PointJet:
-    """All derivatives of ring elements at one point, up to a fixed order."""
+    """All derivatives of ring elements at one point, given by its five
+    coordinates, up to a fixed order."""
 
-    def __init__(self, p: Point5, order: int):
+    def __init__(self, point, order: int):
         self.space = _JetSpace.get(order)
         self.order = order
-        xs = tuple(float(v) for v in p.xs)
+        xs = tuple(float(v) for v in point)
         self.xs = xs
         r2 = sum(v * v for v in xs)
         if r2 == 0.0:
@@ -278,18 +295,6 @@ class PointJet:
                 sel = rows[at:at + step]
                 out[sel] = sp.stack_mul(xm[sel, :, None], base)
         return out
-
-    def expr(self, e: ScalarExpr) -> np.ndarray:
-        out = np.zeros(self.space.dim, dtype=complex)
-        s = e.chart
-        for (mono, rp, ap), c in e._t.items():
-            out += c.to_complex() * self.term(mono, rp, ap, s)
-        return out
-
-    def derivatives(self, e: ScalarExpr) -> dict[tuple, complex]:
-        """{gamma: (d^gamma e)(p)} for every gamma within the order."""
-        jet = self.expr(e) * self.space.fact
-        return {g: jet[i] for i, g in enumerate(self.space.indices)}
 
 
 def shift_table(hi: _JetSpace, lo: _JetSpace, d: tuple):

@@ -57,9 +57,7 @@ from .exact import (
     EXP_LIMIT,
     GR_ONE,
     GaussRat,
-    Point5,
     ScalarExpr,
-    _join_chart,
     check_exponents,
     checked_fields,
     diff_terms,
@@ -378,8 +376,9 @@ class _Table:
         """The row in the derivative stack of d^gamma of every coefficient,
         for each gamma.  Missing rows are made order by order, each order's
         in one ``diff_terms`` call: the row of gamma from the row of
-        gamma - e_k, k the last axis gamma differentiates, the order in
-        which ``ScalarExpr.multi_diff`` differentiates."""
+        gamma - e_k, k the last axis gamma differentiates, so that each
+        coefficient is differentiated along axis 0 first, then axis 1, and
+        so on."""
         rows, todo = self._rows, set()
         for g in gammas:
             while g not in rows and g not in todo:
@@ -673,8 +672,7 @@ class OperatorExpr:
 
     Held as a dict of ScalarExpr coefficients, as a term table, or both:
     an operator built from coefficients gets its table when it is first
-    composed or zero-tested, and a result of ``combine`` builds its
-    ScalarExpr coefficients only when they are asked for.
+    composed or zero-tested, and a result of ``combine`` is a table only.
     """
 
     __slots__ = ("_terms", "_tab")
@@ -696,17 +694,6 @@ class OperatorExpr:
             self._tab = _table_of_terms(self._terms)
         return self._tab
 
-    def _dict(self) -> dict[tuple[Word, Deriv], ScalarExpr]:
-        if self._terms is None:
-            t = self._tab
-            self._terms = {
-                key: ScalarExpr.from_arrays(t.den, t.tk[a:b], t.re[a:b],
-                                            t.im[a:b], chart)
-                for key, chart, a, b in zip(t.keys, t.chart.tolist(),
-                                            t.start[:-1].tolist(),
-                                            t.start[1:].tolist())}
-        return self._terms
-
     # constructors
 
     @staticmethod
@@ -722,10 +709,6 @@ class OperatorExpr:
         return OperatorExpr({((0, 0, 0), _ZERO_DERIV): c})
 
     @staticmethod
-    def from_const(c) -> "OperatorExpr":
-        return OperatorExpr.from_scalar(ScalarExpr.const(c))
-
-    @staticmethod
     def deriv(i: int) -> "OperatorExpr":
         d = [0] * 5
         d[i] = 1
@@ -738,9 +721,6 @@ class OperatorExpr:
         return OperatorExpr({(tuple(w), _ZERO_DERIV): ScalarExpr.const(1)})
 
     # inspection
-
-    def items(self):
-        return self._dict().items()
 
     def float_terms(self):
         """(keys, seg, chart, tk, values): every coefficient's terms in
@@ -780,26 +760,16 @@ class OperatorExpr:
     # algebra: every operation is one ``combine``
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = OperatorExpr.from_const(other)
         if not isinstance(other, OperatorExpr):
             return NotImplemented
         return OperatorExpr.combine([(1, self, None), (1, other, None)])
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return OperatorExpr.combine([(-1, self, None)])
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = OperatorExpr.from_const(other)
         if not isinstance(other, OperatorExpr):
             return NotImplemented
         return OperatorExpr.combine([(1, self, None), (-1, other, None)])
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """Scaling by central constants only; use @ for composition."""
@@ -828,8 +798,7 @@ class OperatorExpr:
         One ``_accumulate`` makes and merges the term products of all of
         them; each result is then divided by the gcd of its denominator
         and all its numerators.  Output keys, and the terms of each key,
-        come in first-occurrence order.  No ScalarExpr or GaussRat is built
-        until the coefficients are asked for.
+        come in first-occurrence order.  No ScalarExpr or GaussRat is built.
         """
         sums = list(sums)
         out = [OperatorExpr() for _ in sums]
@@ -869,55 +838,3 @@ class OperatorExpr:
 
 
 _IDENTITY = OperatorExpr.identity()
-
-# ----- spin-1/2 function application ----------------------------------------
-
-class IsoFun:
-    """Two-component function on which operators act in the spin-1/2
-    representation: generators as sigma_a/2, derivatives componentwise."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, up: ScalarExpr, down: ScalarExpr):
-        self.c = (up, down)
-
-    def evaluate(self, p: Point5) -> tuple[complex, complex]:
-        out = []
-        for comp in self.c:
-            v = comp.evaluate(p)
-            out.append(v.to_complex() if isinstance(v, GaussRat) else complex(v))
-        return tuple(out)
-
-
-def apply(op: OperatorExpr, f: IsoFun) -> IsoFun:
-    """Apply an operator to a two-component function, spin-1/2 generators.
-
-    Accumulates raw term dicts and builds each component once; building
-    the image through repeated ScalarExpr addition would copy the growing
-    sum once per operator term.
-    """
-    acc: tuple[dict, dict] = ({}, {})
-    charts = [CHART_NONE, CHART_NONE]
-    for (w, d), coeff in op.items():
-        g0 = f.c[0].multi_diff(d)
-        g1 = f.c[1].multi_diff(d)
-        m = word_matrix(w)
-        h0 = g0 * m[0][0] + g1 * m[0][1]
-        h1 = g0 * m[1][0] + g1 * m[1][1]
-        for slot, h in ((0, h0), (1, h1)):
-            if h.is_structural_zero():
-                continue
-            prod = coeff * h
-            if prod.is_structural_zero():
-                continue
-            charts[slot] = _join_chart(charts[slot], prod.chart)
-            a = acc[slot]
-            for k, v in prod._t.items():
-                prev = a.get(k)
-                nv = v if prev is None else prev + v
-                if nv:
-                    a[k] = nv
-                elif prev is not None:
-                    del a[k]
-    return IsoFun(ScalarExpr(acc[0], charts[0]),
-                  ScalarExpr(acc[1], charts[1]))

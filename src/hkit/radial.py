@@ -7,7 +7,8 @@ d = D/2 + 1 dimensions are both reduced by R = x^{-(dim-1)/2} chi to
 
 with Lambda = ell (ell + dim - 2) + (dim - 1)(dim - 3)/4, and solved on a
 uniform grid as a symmetric tridiagonal eigenproblem T.  Eigenvalues are
-Richardson-refined from two grids by default.
+Richardson-refined from two grids, n and 2n + 1 points; a correction
+above sqrt(_RTOL) raises GridTooCoarse.
 
 On each grid, a direct solve on a small pilot grid of the same box gives
 every level a shift and a start vector.  T minus the shift is factored
@@ -23,10 +24,10 @@ turning point suppresses the Dirichlet truncation below the eigenvalue
 tolerance; the classical turning point alone leaves errors far above
 1e-6 for Coulomb tails.
 
-The duality map r = u^2 is implemented level-by-level in both directions,
-and the substitution check resamples a solved oscillator eigenfunction
-onto r = u^2 and measures how well it satisfies the Coulomb equation with
-the mapped energy and coupling.
+The duality map r = u^2 sends oscillator levels to Coulomb problems level
+by level, and the substitution check resamples a solved oscillator
+eigenfunction onto r = u^2 and measures how well it satisfies the Coulomb
+equation with the mapped energy and coupling.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ _BOX_CAP_FACTOR = 60.0  # hard stop for the wall search, in turning-point units
 _PILOT_POINTS = 768     # interior points of every pilot solve
 _INVERSE_STEPS = 2      # inverse-iteration solves per level
 _CERT_ULPS = 16.0       # rounding margin of the level certificate, in eps ||T||
+_RTOL = 1e-6            # relative eigenvalue tolerance of the Richardson check
 _SCAN = np.geomspace(1e-6, 1e7, 1400)  # turning-point scan, in units of a length
 
 OSCILLATOR = "oscillator"
@@ -359,8 +361,7 @@ def _check_levels(levels: int) -> None:
         raise ValueError(f"levels must be at least 1, got {levels}")
 
 
-def _solve(problem: RadialProblem, levels: int, refine: bool,
-           rtol: float, scaled_top: float) -> EigenResult:
+def _solve(problem: RadialProblem, levels: int, scaled_top: float) -> EigenResult:
     _check_levels(levels)
     lam = effective_lambda(problem.dim, problem.ell)
     wfun = _scaled_potential(problem)
@@ -370,23 +371,17 @@ def _solve(problem: RadialProblem, levels: int, refine: bool,
         raise ValueError(f"{levels} levels on {n} points will not resolve")
     escale = problem.hbar ** 2 / (2 * problem.mass)
 
-    if not refine:
-        x, vals, vecs, rho = _fd_eigen(lam, wfun, box, n, levels)
-        return EigenResult(problem, box, vals * escale,
-                           _normalize(vecs, box / (n + 1)), x, rho,
-                           np.full(levels, np.nan))
-
     _, coarse, _, _ = _fd_eigen(lam, wfun, box, n, levels)
     nf = 2 * n + 1
     x, fine, vecs, rho = _fd_eigen(lam, wfun, box, nf, levels)
     refined = (4.0 * fine - coarse) / 3.0
     floor = np.max(np.abs(refined)) * 1e-9 + 1e-300
     conv = np.abs(fine - coarse) / (3.0 * np.maximum(np.abs(refined), floor))
-    if np.any(conv > math.sqrt(rtol)):
+    if np.any(conv > math.sqrt(_RTOL)):
         worst = int(np.argmax(conv))
         raise GridTooCoarse(
             f"level {worst}: Richardson correction {conv[worst]:.2e} exceeds "
-            f"sqrt(rtol) = {math.sqrt(rtol):.2e}; raise n_points")
+            f"sqrt(rtol) = {math.sqrt(_RTOL):.2e}; raise n_points")
     return EigenResult(problem, box, refined * escale,
                        _normalize(vecs, box / (nf + 1)), x, rho, conv)
 
@@ -401,8 +396,7 @@ def _normalize(vecs: np.ndarray, h: float) -> np.ndarray:
     return vecs
 
 
-def solve_oscillator(problem: RadialProblem, levels: int = 1, *,
-                     refine: bool = True, rtol: float = 1e-6) -> EigenResult:
+def solve_oscillator(problem: RadialProblem, levels: int = 1) -> EigenResult:
     """Lowest `levels` oscillator energies, near hbar w (2 n_r + L + D/2)."""
     if problem.kind != OSCILLATOR:
         raise ValueError(f"need an oscillator problem, got {problem.kind!r}")
@@ -410,22 +404,20 @@ def solve_oscillator(problem: RadialProblem, levels: int = 1, *,
         raise ValueError("free oscillator (omega = 0) needs an explicit box")
     top = oscillator_level(problem, levels - 1) if problem.omega > 0 else 0.0
     scaled_top = 2 * problem.mass * top / problem.hbar ** 2
-    return _solve(problem, levels, refine, rtol, scaled_top)
+    return _solve(problem, levels, scaled_top)
 
 
-def solve_coulomb(problem: RadialProblem, levels: int = 1, *,
-                  refine: bool = True, rtol: float = 1e-6) -> EigenResult:
+def solve_coulomb(problem: RadialProblem, levels: int = 1) -> EigenResult:
     """Lowest `levels` bound Coulomb energies, near the inverse-square law."""
     if problem.kind != COULOMB:
         raise ValueError(f"need a coulomb problem, got {problem.kind!r}")
     _check_levels(levels)  # coulomb_level(problem, -1) divides by zero at d = 3, l = 0
     top = coulomb_level(problem, levels - 1)
     scaled_top = 2 * problem.mass * top / problem.hbar ** 2
-    return _solve(problem, levels, refine, rtol, scaled_top)
+    return _solve(problem, levels, scaled_top)
 
 
-def solve_modified(problem: RadialProblem, levels: int = 1, *,
-                   refine: bool = True, rtol: float = 1e-6) -> EigenResult:
+def solve_modified(problem: RadialProblem, levels: int = 1) -> EigenResult:
     """Lowest `levels` energies of an oscillator-like polynomial potential.
 
     The wall needs the top retained energy, which has no closed form
@@ -453,7 +445,7 @@ def solve_modified(problem: RadialProblem, levels: int = 1, *,
         top = pilot[-1] + max(spacing, abs(pilot[-1]) * 0.1)
         problem = replace(problem, box=_auto_box(problem, scale * top))
     # box is set by now, so the top-energy argument below is never consulted
-    return _solve(problem, levels, refine, rtol, 0.0)
+    return _solve(problem, levels, 0.0)
 
 
 @dataclass(frozen=True)
@@ -466,43 +458,25 @@ class MappedLevel:
     predicted: float
 
 
-def duality_map(result: EigenResult, direction: str = "oscillator->coulomb") -> list[MappedLevel]:
-    """Map a solved spectrum level-by-level onto its dual problem.
+def duality_map(result: EigenResult) -> list[MappedLevel]:
+    """Map a solved oscillator spectrum level-by-level onto its dual.
 
-    Forward: oscillator level E_n becomes the coupling e2 = E_n/4 of a
-    Coulomb problem in d = D/2 + 1 dimensions with l = L/2, whose n-th
-    bound level must sit at eps = -m w^2/8 (one energy for every n: the
-    trade of quantized coupling against fixed energy).  Backward: bound
-    level eps_n turns into the frequency w = sqrt(-8 eps_n / m) of an
-    oscillator in D = 2(d - 1) dimensions with L = 2 l, whose n-th level
-    must sit at E = 4 e2.  The w = 0 edge (eps = 0, free limit) stays
-    well-defined; it just maps to a frequency-free problem.
+    Oscillator level E_n becomes the coupling e2 = E_n/4 of a Coulomb
+    problem in d = D/2 + 1 dimensions with l = L/2, whose n-th bound level
+    must sit at eps = -m w^2/8: one energy for every n, the trade of
+    quantized coupling against fixed energy.
     """
     src = result.problem
+    if src.kind != OSCILLATOR:
+        raise ValueError(f"the duality map needs an oscillator source, got {src.kind!r}")
+    predicted = -src.mass * src.omega ** 2 / 8.0
     out = []
-    if direction == "oscillator->coulomb":
-        if src.kind != OSCILLATOR:
-            raise ValueError(f"forward map needs an oscillator source, got {src.kind!r}")
-        predicted = -src.mass * src.omega ** 2 / 8.0
-        for n, energy in enumerate(result.eigenvalues):
-            dual = RadialProblem.coulomb(src.dim / 2 + 1, src.ell / 2, float(energy) / 4.0,
-                                         mass=src.mass, hbar=src.hbar,
-                                         n_points=src.n_points)
-            out.append(MappedLevel(n, float(energy), dual, n, predicted))
-        return out
-    if direction == "coulomb->oscillator":
-        if src.kind != COULOMB:
-            raise ValueError(f"backward map needs a coulomb source, got {src.kind!r}")
-        predicted = 4.0 * src.e2
-        for n, eps in enumerate(result.eigenvalues):
-            w = math.sqrt(max(-8.0 * float(eps) / src.mass, 0.0))
-            dual = RadialProblem.oscillator(int(round(2 * (src.dim - 1))),
-                                            int(round(2 * src.ell)), w,
-                                            mass=src.mass, hbar=src.hbar,
-                                            n_points=src.n_points)
-            out.append(MappedLevel(n, float(eps), dual, n, predicted))
-        return out
-    raise ValueError(f"unknown direction {direction!r}")
+    for n, energy in enumerate(result.eigenvalues):
+        dual = RadialProblem.coulomb(src.dim / 2 + 1, src.ell / 2, float(energy) / 4.0,
+                                     mass=src.mass, hbar=src.hbar,
+                                     n_points=src.n_points)
+        out.append(MappedLevel(n, float(energy), dual, n, predicted))
+    return out
 
 
 class _NotAKnotSpline:

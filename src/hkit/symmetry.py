@@ -24,7 +24,7 @@ from math import prod
 
 import numpy as np
 
-from .exact import (CHART_A, GaussRat, Point5, ScalarExpr, X, run_starts,
+from .exact import (CHART_A, GaussRat, ScalarExpr, X, run_starts,
                     unpack_key)
 from .gauge import field_tensor, vector_potential
 from .jets import PointJet, _JetSpace, shift_table
@@ -307,11 +307,6 @@ def _c3_pairing_parts(ops: SymmetryOperators, mu: int, nu: int) -> list:
     return parts
 
 
-def _c3_pairings(ops: SymmetryOperators, mu: int, nu: int) -> OperatorExpr:
-    """The sum `_c3_pairing_parts` stands for, composed."""
-    return OperatorExpr.combine(_c3_pairing_parts(ops, mu, nu))
-
-
 def casimir_c3_residual(ops: SymmetryOperators) -> OperatorExpr:
     """C3-cleared: eps contraction of three D~ against 96 (mu0 e2/hbar) T^2.
 
@@ -541,7 +536,7 @@ class _JetApplier:
     that adds a term column afterwards can be applied.
     """
 
-    def __init__(self, p: Point5, plans: _ChainPlans, order: int):
+    def __init__(self, p: tuple, plans: _ChainPlans, order: int):
         self.plans = plans
         self.order = order
         self._tjets = PointJet(p, order).terms(plans.terms)
@@ -624,7 +619,7 @@ def _chain_sum(ja: _JetApplier, chains: list[tuple], fk: tuple,
 
 
 def _c4_values(ops: SymmetryOperators, chains: list[tuple],
-               points: list[Point5], jets: list[np.ndarray]) -> np.ndarray:
+               points: list[tuple], jets: list[np.ndarray]) -> np.ndarray:
     """The sum of the chains at each point, one row of both components per
     point, for the jet of f there (order 8 or higher).
 
@@ -686,12 +681,12 @@ def casimir_check(ops: SymmetryOperators, which: str,
     raise KeyError(f"unknown casimir {which!r}")
 
 
-def c4_test_points() -> list[Point5]:
+def c4_test_points() -> list[tuple]:
     """Two fixed points with rational coordinates, as floats for speed.
     Neither radius is rational: r^2 = 41/16 and 18/5."""
     return [
-        Point5([0.25, 0.5, -1.0, 0.5, 1.0]),   # r^2 = 41/16
-        Point5([-0.6, 1.2, 0.4, -0.8, 1.0]),
+        (0.25, 0.5, -1.0, 0.5, 1.0),   # r^2 = 41/16
+        (-0.6, 1.2, 0.4, -0.8, 1.0),
     ]
 
 

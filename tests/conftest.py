@@ -11,10 +11,12 @@ from math import pi, sin
 import numpy as np
 import pytest
 
-from hkit.exact import CHART_A, Point5
+from hkit.exact import CHART_A
 from hkit.gauge import field_tensor
 from hkit.transforms import (HyperSpherical, angle_trig, hurwitz_map,
                              sphere_frame, sphere_point)
+
+from reference import radius
 
 SEED = 20240814
 
@@ -33,8 +35,9 @@ def rational_points(count: int, seed: int = SEED, avoid_axis: bool = True):
     """Exact points with rational radius, built as bilinear images.
 
     Images of rational 8-vectors always have a rational radius, which is
-    what the exact evaluation layer requires.  With avoid_axis the points
-    also stay off both half-axes so every chart denominator is nonzero.
+    what exact evaluation (`reference.evaluate`) requires.  With avoid_axis
+    the points also stay off both half-axes so every chart denominator is
+    nonzero.
     """
     rng = random.Random(seed)
     points = []
@@ -42,15 +45,14 @@ def rational_points(count: int, seed: int = SEED, avoid_axis: bool = True):
         u = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
              for _ in range(8)]
         x = hurwitz_map(u)
-        p = Point5(x)
-        rr = p.radius()
+        rr = radius(x)
         if rr == 0:
             continue
         if avoid_axis and (rr + x[0] == 0 or rr - x[0] == 0
                            or (x[1] == 0 and x[2] == 0)
                            or (x[3] == 0 and x[4] == 0)):
             continue
-        points.append(p)
+        points.append(x)
     return points
 
 

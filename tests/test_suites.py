@@ -3,6 +3,7 @@ a run loads."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hkit import suites, symmetry, transforms
+from hkit import exact, gauge, operators, suites, symmetry, transforms
 from hkit.cli import main
 from hkit.config import _SECTION_KEYS, DEFAULT_TOLERANCES, SUITES, SuiteConfig
 from hkit.operators import OperatorExpr
@@ -230,6 +231,81 @@ def test_intpoly_mutant_fails_an_exact_row(monkeypatch, mutant):
     assert failed
     assert all(r.mode == MODE_EXACT or r.detail.startswith("ValueError: IntPoly **")
                for r in failed)
+
+
+# The operator kernel decides the gauge, field and algebra rows: each sum
+# of products goes through `_accumulate` and `nonzero_segments`.
+OPERATOR_SUITES = SuiteConfig(suites=("gauge", "field", "algebra"))
+
+
+def _ignore_imaginary_numerators(monkeypatch):
+    """The zero test reads the real numerators only."""
+    nonzero = exact.nonzero_segments
+    monkeypatch.setattr(operators, "nonzero_segments",
+                        lambda seg, tk, re, im, sign: nonzero(seg, tk, re, 0 * im, sign))
+
+
+def _drop_a_leibniz_row(monkeypatch):
+    """d^d (c g) loses its last Leibniz row, (d^d c) g.  The wrapper copies
+    the rows, so the `_LEIBNIZ` memo keeps the right ones."""
+    leibniz = operators._leibniz
+    monkeypatch.setattr(operators, "_leibniz",
+                        lambda d: leibniz(d)[:-1] if any(d) else leibniz(d))
+
+
+def _rewrite_r_squared_with_the_wrong_sign(monkeypatch):
+    """The zero test rewrites r^2 to -x.x: `nonzero_segments` rebuilt from
+    its own source with the rewritten copies negated."""
+    source = inspect.getsource(exact.nonzero_segments)
+    for part in ("re", "im"):
+        copies = f"np.repeat({part}[hot], 5)"
+        assert source.count(copies) == 1
+        source = source.replace(copies, "-" + copies)
+    namespace = dict(vars(exact))
+    exec(source, namespace)
+    monkeypatch.setattr(operators, "nonzero_segments", namespace["nonzero_segments"])
+
+
+@pytest.mark.parametrize("mutant", [
+    pytest.param(_ignore_imaginary_numerators, marks=pytest.mark.xfail(
+        strict=True, reason="every exact row is a zero test of a true identity, "
+        "so a zero test that misses nonzero values fails none of them")),
+    _drop_a_leibniz_row, _rewrite_r_squared_with_the_wrong_sign,
+], ids=["imaginary-numerators", "leibniz-row", "radius-rewrite-sign"])
+def test_operator_kernel_mutant_fails_an_exact_row(monkeypatch, mutant):
+    """A broken operator kernel must fail the in-process report of the
+    suites it decides, as exact rows read false.  No cache hides a mutant:
+    the suites build their operator tables afresh, and the cached field
+    tensors are made without the kernel."""
+    mutant(monkeypatch)
+    failed = [r for r in suites.run_suite(OPERATOR_SUITES).rows if not r.passed]
+    assert failed
+    assert all(r.mode == MODE_EXACT for r in failed)
+
+
+def test_python_int_numerators_give_the_same_rows(monkeypatch):
+    """With the int64 bound at 0 every term table widens to Python ints, a
+    path no CLI run takes; the rows of the suites the kernel decides must
+    not change.  The caches of derivatives and field tensors are cleared
+    first, so those are made on the widened path too."""
+    want = suites.run_suite(OPERATOR_SUITES).rows
+    widen, widened = exact.widen, []
+
+    def spy(bound, *arrays):
+        out = widen(bound, *arrays)
+        widened.append(out[0].dtype == object)
+        return out
+
+    for module in (exact, operators):
+        monkeypatch.setattr(module, "widen", spy)
+    monkeypatch.setattr(exact, "_INT64_SAFE", 0.0)
+    for cached in vars(gauge).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    for e in (*exact.X, exact.R):
+        e._dcache.clear()
+    assert suites.run_suite(OPERATOR_SUITES).rows == want
+    assert widened and all(widened)
 
 
 @pytest.mark.parametrize("seed", [20240814, 11, 7, 12345])

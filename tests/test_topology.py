@@ -14,7 +14,7 @@ import pytest
 
 from hkit import gauge, topology
 from hkit.config import SuiteConfig
-from hkit.exact import CHART_A, CHART_B, Point5
+from hkit.exact import CHART_A, CHART_B
 from hkit.gauge import Y_ANGULAR, field_tensor
 from hkit.operators import perm_sign
 from hkit.report import MODE_EXACT, MODE_NUMERIC
@@ -24,6 +24,7 @@ from hkit.transforms import HyperSpherical, IntPoly, hyperspherical_inverse
 
 from conftest import (angular_jacobian, field_charge, inverse_jacobian,
                       sqrt_det_metric_closed)
+from reference import evaluate
 
 THIRDS = (Fraction(1, 3),) * 3
 EXACT_ROWS = ("total", "components", "radius-independence")
@@ -181,9 +182,9 @@ def _random_points(n, seed):
 
 def _angular_field_at(a, h, chart=CHART_A):
     """F in (r, theta, alpha, beta, gamma) components by Jacobian pullback."""
-    p = Point5([float(v) for v in hyperspherical_inverse(h)])
+    p = [float(v) for v in hyperspherical_inverse(h)]
     F = field_tensor(a, chart)
-    cartesian = np.array([[F[i][j].evaluate(p).real if i != j else 0.0
+    cartesian = np.array([[evaluate(F[i][j], p).real if i != j else 0.0
                            for j in range(5)] for i in range(5)])
     J = np.array(inverse_jacobian(h))
     return J @ cartesian @ J.T
